@@ -37,12 +37,15 @@ ci-sync:
 # CI/Makefile drift check.
 check: lint build race ci-sync
 
-# The campaign/checkpoint smoke legs CI runs beyond `check`.
+# The campaign/checkpoint smoke legs CI runs beyond `check`, plus the
+# per-section experiment selection of repro-all on the fast IDs (one or two
+# from each paper section).
 smoke:
 	$(GO) test -race -count=1 ./internal/serve/...
 	$(GO) run ./cmd/serve-campaign -quick
 	$(GO) test -count=1 ./internal/ckpt/... ./internal/chaos/...
 	$(GO) run ./cmd/train-campaign -smoke
+	$(GO) run ./cmd/repro-all -quick -only F1,F2,C7,T1,C5,C6,T2
 
 # Fleet smoke: the R6 cluster campaign's acceptance tests (dominance,
 # request accounting, partition staleness, placement churn) plus a seeded

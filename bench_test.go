@@ -24,7 +24,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/lsh"
 	"repro/internal/mann"
-	"repro/internal/par"
 	"repro/internal/perfmodel"
 	"repro/internal/quant"
 	"repro/internal/recsys"
@@ -163,47 +162,9 @@ func BenchmarkAblationEmbeddingCache(b *testing.B) {
 }
 
 // --- Microbenchmarks of the hot substrate paths ---
-
-func BenchmarkMicroMatVec256(b *testing.B) {
-	rng := rngutil.New(1)
-	m := tensor.NewMatrix(256, 256)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	x := make(tensor.Vector, 256)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatVec(x)
-	}
-}
-
-func BenchmarkMicroCrossbarForward(b *testing.B) {
-	a := crossbar.NewArray(256, 256, crossbar.Ideal(), crossbar.DefaultConfig(), rngutil.New(1))
-	x := make(tensor.Vector, 256)
-	x.Fill(0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Forward(x)
-	}
-}
-
-func BenchmarkMicroCrossbarStochasticUpdate(b *testing.B) {
-	a := crossbar.NewArray(256, 256, crossbar.Ideal(), crossbar.DefaultConfig(), rngutil.New(1))
-	u := make(tensor.Vector, 256)
-	v := make(tensor.Vector, 256)
-	rng := rngutil.New(2)
-	for i := range u {
-		u[i] = rng.Uniform(-1, 1)
-		v[i] = rng.Uniform(-1, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Update(0.01, u, v)
-	}
-}
+//
+// The MVM and crossbar forward/backward/update kernels are measured, gated
+// and recorded in BENCH.json by cmd/bench-report, not here.
 
 func BenchmarkMicroTCAMBestMatch(b *testing.B) {
 	rng := rngutil.New(3)
@@ -283,60 +244,5 @@ func BenchmarkMicroGPUCostModel(b *testing.B) {
 	g := perfmodel.DefaultGPU()
 	for i := 0; i < b.N; i++ {
 		g.MatVec(4096, 128)
-	}
-}
-
-// --- tile-engine kernels (serial reference vs internal/par) ---
-//
-// The machine-readable version of these numbers — at 128/512/1024 with the
-// regression gate — comes from cmd/bench-report (BENCH_PR4.json); these
-// keep the comparison visible in the ordinary `go test -bench` flow.
-
-func kernelFixture(n int) (*tensor.Matrix, tensor.Vector) {
-	rng := rngutil.New(uint64(9000 + n))
-	m := tensor.NewMatrix(n, n)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	x := make(tensor.Vector, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	return m, x
-}
-
-func BenchmarkKernelForwardSerial512(b *testing.B) {
-	m, x := kernelFixture(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatVec(x)
-	}
-}
-
-func BenchmarkKernelForwardParallel512(b *testing.B) {
-	defer par.SetWorkers(0)
-	par.SetWorkers(4)
-	m, x := kernelFixture(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.MatVec(m, x)
-	}
-}
-
-func BenchmarkKernelBackwardSerial512(b *testing.B) {
-	m, x := kernelFixture(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatVecT(x)
-	}
-}
-
-func BenchmarkKernelBackwardParallel512(b *testing.B) {
-	defer par.SetWorkers(0)
-	par.SetWorkers(4)
-	m, x := kernelFixture(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.MatVecT(m, x)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // "Serial" is the scalar reference path: tensor.Matrix.MatVec / MatVecT
 // for the MVMs (one goroutine, one accumulator, ascending index order) and
-// the generic per-crosspoint update (Config.ReferenceUpdate, one worker)
+// the generic per-crosspoint update (Array.UpdateReference, one worker)
 // for the pulse updates. "Parallel" is the engine path the simulator runs
 // now (crossbar.Array ops at the requested -workers, specialized update
 // kernel, sample-blocked batched forward). Serial and parallel are
@@ -79,9 +79,6 @@ type Report struct {
 	// SpeedupForwardBatch1024 is the per-batch serial/blocked ratio at 1024
 	// over batchSamples samples — the GEMM-style blocking win.
 	SpeedupForwardBatch1024 float64 `json:"speedup_forward_batch_1024"`
-	// SpeedupUpdateBatch512 is the K-sequential-updates/fused-UpdateBatch
-	// ratio at 512 — what one pass over device state buys over K passes.
-	SpeedupUpdateBatch512 float64 `json:"speedup_update_batch_512"`
 	// SpeedupServeBatch is the end-to-end live-service ratio: an open-loop
 	// saturating workload through serve.Service with single dispatch vs
 	// dynamic request batching on the same digital pipeline.
@@ -106,8 +103,6 @@ const (
 	batchSpeedupFloor = 2.24
 	// batchSamples is the batch width of the batched-forward benchmarks.
 	batchSamples = 8
-	// updateBatchK is the block size of the fused-update benchmarks.
-	updateBatchK = 8
 	// serveBatchSpeedupFloor is the minimum live-service batching win: the
 	// batched service must move ≥1.5× the requests per second of single
 	// dispatch under the open-loop saturating workload.
@@ -227,10 +222,8 @@ func fillBatch(n int) (xs, ys []tensor.Vector) {
 	return xs, ys
 }
 
-func newArray(n int, reference bool) *crossbar.Array {
-	cfg := crossbar.DefaultConfig()
-	cfg.ReferenceUpdate = reference
-	return crossbar.NewArray(n, n, crossbar.Ideal(), cfg, rngutil.New(uint64(5000+n)))
+func newArray(n int) *crossbar.Array {
+	return crossbar.NewArray(n, n, crossbar.Ideal(), crossbar.DefaultConfig(), rngutil.New(uint64(5000+n)))
 }
 
 func run(workers int) Report {
@@ -260,7 +253,7 @@ func run(workers int) Report {
 			b.ReportAllocs()
 			par.SetWorkers(workers)
 			_, x, _ := fill(n)
-			arr := newArray(n, false)
+			arr := newArray(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				arr.Forward(x)
@@ -289,25 +282,25 @@ func run(workers int) Report {
 			b.ReportAllocs()
 			par.SetWorkers(workers)
 			_, _, u := fill(n)
-			arr := newArray(n, false)
+			arr := newArray(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				arr.Backward(u)
 			}
 		})
 		// The update's serial twin is the generic per-crosspoint path
-		// (Config.ReferenceUpdate — device interface dispatch for every
+		// (Array.UpdateReference — device interface dispatch for every
 		// coincidence) at one worker; the parallel side is the specialized
 		// engine kernel at the requested workers. Bit-identical outputs,
 		// and exactly the pairing the update speedup budget floors.
 		var updS, updP Result
 		if n == 512 {
 			updS, updP, rep.SpeedupUpdate512 = measurePair(
-				fmt.Sprintf("update_serial_%d", n), benchUpdate(n, true, 1),
-				fmt.Sprintf("update_parallel_%d", n), benchUpdate(n, false, workers))
+				fmt.Sprintf("update_serial_%d", n), benchUpdate(n, (*crossbar.Array).UpdateReference, 1),
+				fmt.Sprintf("update_parallel_%d", n), benchUpdate(n, (*crossbar.Array).Update, workers))
 		} else {
-			updS = measure(fmt.Sprintf("update_serial_%d", n), benchUpdate(n, true, 1))
-			updP = measure(fmt.Sprintf("update_parallel_%d", n), benchUpdate(n, false, workers))
+			updS = measure(fmt.Sprintf("update_serial_%d", n), benchUpdate(n, (*crossbar.Array).UpdateReference, 1))
+			updP = measure(fmt.Sprintf("update_parallel_%d", n), benchUpdate(n, (*crossbar.Array).Update, workers))
 		}
 		par.SetWorkers(0)
 		rep.Benchmarks = append(rep.Benchmarks, serialF, serialB, parF, parB, updS, updP)
@@ -343,17 +336,6 @@ func run(workers int) Report {
 	par.SetWorkers(0)
 	rep.Benchmarks = append(rep.Benchmarks, batchS, batchP)
 
-	// Fused multi-sample update at 512: the twin applies the same K rank-1
-	// updates as K sequential engine Update calls (K passes over device
-	// state); the fused side applies them as one UpdateBatch (one pass).
-	// Outputs are bit-identical; this pair tracks what the single pass buys.
-	ubS, ubP, ubSpeedup := measurePair(
-		fmt.Sprintf("update_batch_seq_512x%d", updateBatchK), benchUpdateBatch(512, false, workers),
-		fmt.Sprintf("update_batch_fused_512x%d", updateBatchK), benchUpdateBatch(512, true, workers))
-	rep.SpeedupUpdateBatch512 = ubSpeedup
-	par.SetWorkers(0)
-	rep.Benchmarks = append(rep.Benchmarks, ubS, ubP)
-
 	// Live service end to end: the open-loop saturating workload through
 	// serve.Service with single dispatch vs dynamic batching. One op is the
 	// whole workload, so the ratio is a throughput speedup.
@@ -367,48 +349,18 @@ func run(workers int) Report {
 	return rep
 }
 
-// benchUpdateBatch benchmarks K rank-1 updates on the engine path, applied
-// either fused (one UpdateBatch call) or as K sequential Update calls.
-func benchUpdateBatch(n int, fused bool, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		par.SetWorkers(workers)
-		arr := newArray(n, false)
-		rng := rngutil.New(uint64(8000 + n))
-		us := make([]tensor.Vector, updateBatchK)
-		vs := make([]tensor.Vector, updateBatchK)
-		for k := range us {
-			us[k] = make(tensor.Vector, n)
-			vs[k] = make(tensor.Vector, n)
-			for i := 0; i < n; i++ {
-				us[k][i] = rng.NormFloat64()
-				vs[k][i] = rng.NormFloat64()
-			}
-		}
-		arr.UpdateBatch(0.001, us, vs) // warm the tile and batch arenas
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if fused {
-				arr.UpdateBatch(0.001, us, vs)
-			} else {
-				for k := range us {
-					arr.Update(0.001, us[k], vs[k])
-				}
-			}
-		}
-	}
-}
-
-func benchUpdate(n int, reference bool, workers int) func(b *testing.B) {
+// benchUpdate benchmarks update — the engine's Update or the generic
+// UpdateReference — on a fresh n×n array at the given worker count.
+func benchUpdate(n int, update func(a *crossbar.Array, scale float64, u, v tensor.Vector), workers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		par.SetWorkers(workers)
 		_, x, u := fill(n)
-		arr := newArray(n, reference)
-		arr.Update(0.001, u, x) // warm the tile arena outside the timer
+		arr := newArray(n)
+		update(arr, 0.001, u, x) // warm the tile arena outside the timer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			arr.Update(0.001, u, x)
+			update(arr, 0.001, u, x)
 		}
 	}
 }
@@ -430,14 +382,12 @@ var (
 
 // budgeted reports whether a benchmark is on the engine path and therefore
 // under the allocs/op ceiling. Serial twins are exempt: the scalar
-// reference allocates one output per sample by design. The _seq_ twin of
-// the fused-update pair is K engine updates per op, so the per-op ceiling
-// doesn't fit it either (its fused arm stays budgeted). The serve_ pairs
+// reference allocates one output per sample by design. The serve_ pairs
 // are whole-service throughput workloads (goroutines, channels, and one
 // result per request are the very thing measured), not kernel hot paths,
 // so the kernel alloc ceiling does not apply to them.
 func budgeted(name string) bool {
-	return !strings.Contains(name, "_serial_") && !strings.Contains(name, "_seq_") &&
+	return !strings.Contains(name, "_serial_") &&
 		!strings.HasPrefix(name, "calibration") && !strings.HasPrefix(name, "serve_")
 }
 
@@ -583,10 +533,10 @@ func main() {
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%d benchmarks, workers=%d, forward 512 %.2fx, update 512 %.2fx, batch 1024 %.2fx, update-batch 512 %.2fx, serve batch %.2fx)\n",
+	fmt.Printf("wrote %s (%d benchmarks, workers=%d, forward 512 %.2fx, update 512 %.2fx, batch 1024 %.2fx, serve batch %.2fx)\n",
 		*out, len(rep.Benchmarks), rep.Workers,
 		rep.SpeedupForward512, rep.SpeedupUpdate512, rep.SpeedupForwardBatch1024,
-		rep.SpeedupUpdateBatch512, rep.SpeedupServeBatch)
+		rep.SpeedupServeBatch)
 
 	failed := false
 	if *budgets {

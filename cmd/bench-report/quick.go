@@ -61,8 +61,8 @@ func printChecksums(w io.Writer, workers int) {
 	fmt.Fprintf(w, "%-18s %6s %18s\n", "kernel", "n", "checksum")
 	for _, n := range []int{128, 512, 1024} {
 		m, x, u := fill(n)
-		arr := newArray(n, false)
-		ref := newArray(n, true)
+		arr := newArray(n)
+		ref := newArray(n)
 		xs, ys := fillBatch(n)
 
 		// Update first: a fresh array's devices all sit at weight zero, and
@@ -71,8 +71,8 @@ func printChecksums(w io.Writer, workers int) {
 		// bit-identity is part of the diffed table.
 		arr.Update(0.001, u, x)
 		arr.Update(-0.002, x, u)
-		ref.Update(0.001, u, x)
-		ref.Update(-0.002, x, u)
+		ref.UpdateReference(0.001, u, x)
+		ref.UpdateReference(-0.002, x, u)
 		fmt.Fprintf(w, "%-18s %6d %18x\n", "update", n, stateSum(arr))
 		fmt.Fprintf(w, "%-18s %6d %18x\n", "update-reference", n, stateSum(ref))
 		fmt.Fprintf(w, "%-18s %6d %18x\n", "forward", n, sumVec(fnvOffset, arr.Forward(x)))
@@ -84,12 +84,5 @@ func printChecksums(w io.Writer, workers int) {
 			h = sumVec(h, y)
 		}
 		fmt.Fprintf(w, "%-18s %6d %18x\n", "forward-batch", n, h)
-
-		// The fused multi-sample update on a fresh array: the line pins the
-		// batched tile pass's full post-update device state across worker
-		// counts, the same contract the scalar update lines carry.
-		ub := newArray(n, false)
-		ub.UpdateBatch(0.001, xs[:4], xs[4:8])
-		fmt.Fprintf(w, "%-18s %6d %18x\n", "update-batch", n, stateSum(ub))
 	}
 }

@@ -181,8 +181,7 @@ type sim struct {
 	ids      int64
 	reqIdx   int
 	disposed map[int64]bool
-	latWin   []float64 // recent reply latencies for the hedge estimator
-	latNext  int
+	replyLat *obs.LatencyWindow // recent reply latencies for the hedge estimator
 
 	shardServed []int64
 	m           Metrics
@@ -205,6 +204,7 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		thinkRN:     cfg.RNG.Child("think"),
 		horizon:     cfg.Duration + 0.2,
 		disposed:    map[int64]bool{},
+		replyLat:    obs.NewLatencyWindow(64),
 		shardServed: make([]int64, cfg.Placement.Shards),
 	}
 	memberIDs := make([]int, cfg.Nodes)
@@ -449,30 +449,10 @@ func (s *sim) dispatch(t float64, req *cReq, nodeID int, isHedge bool) {
 }
 
 // hedgeDelay is the router's adaptive hedge trigger: the HedgeQuantile of
-// recently observed reply latencies (unbiased nearest-rank estimate),
-// clamped to [HedgeMin, Deadline/2].
+// the last 64 reply latencies (unbiased nearest-rank estimate), clamped to
+// [HedgeMin, Deadline/2].
 func (s *sim) hedgeDelay() float64 {
-	d := s.pol.HedgeMin
-	if len(s.latWin) > 0 {
-		q := obs.Quantile(append([]float64(nil), s.latWin...), s.pol.HedgeQuantile)
-		if q > d {
-			d = q
-		}
-	}
-	if max := s.pol.Deadline / 2; d > max {
-		d = max
-	}
-	return d
-}
-
-func (s *sim) observeLatency(l float64) {
-	const window = 64
-	if len(s.latWin) < window {
-		s.latWin = append(s.latWin, l)
-		return
-	}
-	s.latWin[s.latNext] = l
-	s.latNext = (s.latNext + 1) % window
+	return s.replyLat.HedgeDelay(s.pol.HedgeQuantile, s.pol.HedgeMin, s.pol.Deadline/2)
 }
 
 func (s *sim) onReqAtNode(t float64, att *attempt) {
@@ -529,7 +509,7 @@ func (s *sim) onReply(t float64, att *attempt) {
 		s.m.DupReplies++
 		return
 	}
-	s.observeLatency(t - att.sentAt)
+	s.replyLat.Add(t - att.sentAt)
 	stale := att.ver < req.stampVer
 	if stale && s.pol.VersionCheck {
 		s.m.StaleRejected++

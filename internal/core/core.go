@@ -4,15 +4,18 @@
 // tables T1/T2, per DESIGN.md — to a runnable experiment that regenerates
 // the corresponding numbers on the simulated substrates.
 //
-// Command-line tools (cmd/*) and the benchmark harness (bench_test.go)
-// both drive experiments exclusively through this registry, so every
-// reported number has exactly one implementation.
+// Command-line tools (cmd/*, with cmd/repro-all -only selecting any subset)
+// and the benchmark harness (bench_test.go) drive experiments exclusively
+// through this registry, so every reported number has exactly one
+// implementation.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Experiment is one reproducible paper artifact.
@@ -54,10 +57,40 @@ func Lookup(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// RunAll executes every experiment in ID order, writing section headers
-// between them.
-func RunAll(w io.Writer, seed uint64, quick bool) error {
-	for _, e := range Registry() {
+// ErrUnknownExperiment reports an experiment ID that is not registered.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// selectExperiments resolves ids, in the given order, to registered
+// experiments; no ids selects the whole registry in ID order.
+func selectExperiments(ids []string) ([]Experiment, error) {
+	if len(ids) == 0 {
+		return Registry(), nil
+	}
+	out := make([]Experiment, 0, len(ids))
+	for _, id := range ids {
+		e, ok := registry[id]
+		if !ok {
+			known := make([]string, 0, len(registry))
+			for _, e := range Registry() {
+				known = append(known, e.ID)
+			}
+			return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownExperiment, id, strings.Join(known, ","))
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// RunAll executes the experiments named by ids in the given order — every
+// experiment in ID order when ids is empty — writing section headers
+// between them. An unknown ID fails with ErrUnknownExperiment before any
+// experiment runs.
+func RunAll(w io.Writer, seed uint64, quick bool, ids ...string) error {
+	exps, err := selectExperiments(ids)
+	if err != nil {
+		return err
+	}
+	for _, e := range exps {
 		fmt.Fprintf(w, "\n=== %s: %s ===\npaper: %s\n\n", e.ID, e.Title, e.PaperClaim)
 		if err := e.Run(w, seed, quick); err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)

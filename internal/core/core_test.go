@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,38 @@ func TestRunAllQuick(t *testing.T) {
 		if !strings.Contains(out, "=== "+id) {
 			t.Fatalf("RunAll output missing section %s", id)
 		}
+	}
+}
+
+// RunAll with an ID list runs exactly those experiments, in list order.
+func TestRunAllSelectsIDs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RunAll(&buf, 42, true, "F2", "F1"); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	f1, f2 := strings.Index(out, "=== F1:"), strings.Index(out, "=== F2:")
+	if f1 < 0 || f2 < 0 || f2 > f1 {
+		t.Fatalf("want sections F2 then F1, got F2 at %d, F1 at %d", f2, f1)
+	}
+	if n := strings.Count(out, "\n=== "); n != 2 {
+		t.Fatalf("ran %d sections, want 2", n)
+	}
+}
+
+// An unknown ID anywhere in the list fails with the named error before any
+// experiment runs (nothing is written).
+func TestRunAllRejectsUnknownID(t *testing.T) {
+	var buf bytes.Buffer
+	err := RunAll(&buf, 42, true, "F1", "Z9")
+	if !errors.Is(err, ErrUnknownExperiment) {
+		t.Fatalf("err = %v, want ErrUnknownExperiment", err)
+	}
+	if !strings.Contains(err.Error(), `"Z9"`) {
+		t.Fatalf("error %q does not name the unknown ID", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %d bytes before rejecting the ID list", buf.Len())
 	}
 }
 

@@ -55,13 +55,6 @@ type Config struct {
 	// are scaled by 1 − IRDrop·cols/256, the voltage-drop penalty that
 	// grows with array width for low-resistance devices (§II-A).
 	IRDrop float64
-	// ReferenceUpdate forces the generic per-crosspoint update path (device
-	// interface dispatch for every coincidence) even when a specialized
-	// kernel exists for the array's device model. The two paths are
-	// bit-identical — the reference exists as the scalar twin the benchmark
-	// gate measures the engine against, exactly as tensor.Matrix.MatVec is
-	// the scalar twin of the tiled forward kernel.
-	ReferenceUpdate bool
 }
 
 // DefaultConfig returns sensible periphery defaults: 31-slot trains,
@@ -155,16 +148,6 @@ type updateArena struct {
 	// rows×cols popcount probes.
 	colSlotOff []int32
 	colSlotBuf []int32
-	// Fused multi-sample (UpdateBatch) scratch: the per-sample tables above,
-	// replicated K times so one tile pass can apply all K rank-1 updates.
-	// Sized by ensureBatchArena on first batched use; bK is the sample
-	// capacity.
-	bK          int
-	bRowTrains  []uint64  // K×rows, sample-major
-	bColMulUp   []float64 // K×cols
-	bColMulDown []float64 // K×cols
-	bSlotOff    []int32   // K×(BL+1)
-	bSlotBuf    []int32   // K×(BL·cols)
 }
 
 // ensureArena sizes the update scratch buffers on first use, and resizes
@@ -186,20 +169,6 @@ func (a *Array) ensureArena() {
 		a.arena.colSlotOff = make([]int32, a.cfg.BL+1)
 		a.arena.colSlotBuf = make([]int32, a.cfg.BL*a.cols)
 	}
-}
-
-// ensureBatchArena sizes the fused multi-sample update scratch for k
-// samples (growing it if a larger batch arrives; never shrinking).
-func (a *Array) ensureBatchArena(k int) {
-	if a.arena.bK >= k {
-		return
-	}
-	a.arena.bK = k
-	a.arena.bRowTrains = make([]uint64, k*a.rows)
-	a.arena.bColMulUp = make([]float64, k*a.cols)
-	a.arena.bColMulDown = make([]float64, k*a.cols)
-	a.arena.bSlotOff = make([]int32, k*(a.cfg.BL+1))
-	a.arena.bSlotBuf = make([]int32, k*a.cfg.BL*a.cols)
 }
 
 // NewArray builds a rows×cols crossbar of fresh devices from model.
@@ -478,15 +447,23 @@ func (a *Array) finishRead(y tensor.Vector) {
 // Update implements nn.Mat: W += scale·(u ⊗ v) in expectation, realized with
 // device pulses per the configured update mode.
 func (a *Array) Update(scale float64, u, v tensor.Vector) {
-	a.acquire()
-	defer a.release()
-	a.updateLocked(scale, u, v)
+	a.update(scale, u, v, false)
 }
 
-// updateLocked is the Update body, callable while the periphery is already
-// owned (the batched update issues several of these under one acquire when
-// it cannot fuse).
-func (a *Array) updateLocked(scale float64, u, v tensor.Vector) {
+// UpdateReference is Update forced onto the generic per-crosspoint path
+// (device interface dispatch for every coincidence) even when a specialized
+// kernel exists for the array's device model. It advances the same op
+// counters and random streams as Update and is bit-identical to it: the
+// reference exists as the scalar twin the engine kernel is tested and
+// benchmarked against, exactly as tensor.Matrix.MatVec is the scalar twin
+// of the tiled forward kernel.
+func (a *Array) UpdateReference(scale float64, u, v tensor.Vector) {
+	a.update(scale, u, v, true)
+}
+
+func (a *Array) update(scale float64, u, v tensor.Vector, reference bool) {
+	a.acquire()
+	defer a.release()
 	if len(u) != a.rows || len(v) != a.cols {
 		panic(fmt.Sprintf("crossbar: Update shape mismatch %dx%d vs %dx%d", a.rows, a.cols, len(u), len(v)))
 	}
@@ -500,51 +477,12 @@ func (a *Array) updateLocked(scale float64, u, v tensor.Vector) {
 	a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
 	switch a.cfg.Update {
 	case UpdateStochastic:
-		a.updateStochastic(scale, u, v)
+		a.updateStochastic(scale, u, v, reference)
 	case UpdateExpected:
 		a.updateExpected(scale, u, v)
 	default:
 		panic("crossbar: unknown update mode")
 	}
-}
-
-// UpdateBatch applies the K rank-1 updates W += scale·(us[k] ⊗ vs[k]), k
-// ascending, under a single periphery acquisition — the batched write used
-// when a trainer or serving queue has several samples in hand. For arrays
-// of noiseless linear-step devices (the same configuration the specialized
-// sequential kernel covers: no fault hook, no ReferenceUpdate, stochastic
-// mode) the K updates fuse into ONE tile pass over device state: each row
-// of the weight mirror is streamed once for all K samples instead of once
-// per sample, which is where a large array's update time goes. The fused
-// pass is bit-identical to K sequential Update calls — every crosspoint
-// sees its coincident pulses in the same sample-ascending order, the pulse
-// trains draw from the array's serial stream in the same sequence, and the
-// op counters advance identically. Any other configuration falls back to
-// the sequential path under the held periphery, so UpdateBatch is always
-// safe to call.
-func (a *Array) UpdateBatch(scale float64, us, vs []tensor.Vector) {
-	a.acquire()
-	defer a.release()
-	if len(us) != len(vs) {
-		panic(fmt.Sprintf("crossbar: UpdateBatch sample counts %d vs %d", len(us), len(vs)))
-	}
-	for k := range us {
-		if len(us[k]) != a.rows || len(vs[k]) != a.cols {
-			panic(fmt.Sprintf("crossbar: UpdateBatch shape mismatch %dx%d vs %dx%d (sample %d)",
-				a.rows, a.cols, len(us[k]), len(vs[k]), k))
-		}
-	}
-	if scale == 0 || len(us) == 0 {
-		return
-	}
-	if a.cfg.Update != UpdateStochastic || a.lin == nil || a.hook != nil ||
-		a.cfg.ReferenceUpdate || len(us) == 1 {
-		for k := range us {
-			a.updateLocked(scale, us[k], vs[k])
-		}
-		return
-	}
-	a.updateStochasticLinearBatch(scale, us, vs)
 }
 
 // reseedTileRNGs repositions the arena's per-tile pulse-noise streams for
@@ -609,9 +547,9 @@ func (a *Array) runUpdateTiles(needRNG bool, fn func(t, lo, hi int, rng *rngutil
 // into the reusable arena, then the O(rows·cols) coincidence/pulse pass runs
 // as row tiles on the worker pool. Arrays of noiseless linear-step devices
 // take the specialized kernel (updateStochasticLinear) unless a fault hook
-// or Config.ReferenceUpdate forces the generic per-crosspoint path; the two
-// are bit-identical.
-func (a *Array) updateStochastic(scale float64, u, v tensor.Vector) {
+// or UpdateReference forces the generic per-crosspoint path; the two are
+// bit-identical.
+func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bool) {
 	bl := a.cfg.BL
 	dw := a.model.MeanStep()
 	c := math.Sqrt(math.Abs(scale) / (float64(bl) * dw))
@@ -625,7 +563,7 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector) {
 		colTrains[j] = a.train(math.Abs(vj) * c)
 	}
 	sgnScale := math.Signbit(scale)
-	if a.lin != nil && a.hook == nil && !a.cfg.ReferenceUpdate {
+	if a.lin != nil && a.hook == nil && !reference {
 		a.updateStochasticLinear(sgnScale, u, v)
 		return
 	}
@@ -782,110 +720,6 @@ func fillSlotBuckets(colTrains []uint64, bl int, off, buf []int32) {
 			cur[s]++
 		}
 	}
-}
-
-// updateStochasticLinearBatch is the fused K-sample coincidence pass. It
-// runs the per-sample periphery (op counters, pulse-train draws, column
-// step tables, slot buckets) serially in sample order — consuming the
-// array's random stream in exactly the sequence K sequential updates would
-// — then applies all K updates in ONE tile pass over the weight mirror:
-// each row is loaded once and the K samples' coincident pulses land on it
-// in ascending sample order, which per crosspoint is the same pulse
-// sequence the sequential path applies (each pulse is the same
-// state-independent add-then-clip), so the result is bit-identical.
-func (a *Array) updateStochasticLinearBatch(scale float64, us, vs []tensor.Vector) {
-	K := len(us)
-	bl := a.cfg.BL
-	dw := a.model.MeanStep()
-	c := math.Sqrt(math.Abs(scale) / (float64(bl) * dw))
-	sgnScale := math.Signbit(scale)
-	a.ensureArena()
-	a.ensureBatchArena(K)
-	ar := &a.arena
-	rows, cols := a.rows, a.cols
-	up, down := 1+a.linP.Asymmetry, -(1 - a.linP.Asymmetry)
-	dwMin := a.linP.DwMin
-	linScale := a.linScale
-	uniform := a.linUniform && len(linScale) > 0
-	for k := 0; k < K; k++ {
-		a.Counts.Updates++
-		a.Counts.DigitalMACs += int64(rows) * int64(cols)
-		rt := ar.bRowTrains[k*rows : (k+1)*rows]
-		for i, ui := range us[k] {
-			rt[i] = a.train(math.Abs(ui) * c)
-		}
-		ct := ar.colTrains
-		for j, vj := range vs[k] {
-			ct[j] = a.train(math.Abs(vj) * c)
-		}
-		mulUp := ar.bColMulUp[k*cols : (k+1)*cols]
-		mulDown := ar.bColMulDown[k*cols : (k+1)*cols]
-		for j, vj := range vs[k] {
-			if !math.Signbit(vj) {
-				mulUp[j], mulDown[j] = up, down
-			} else {
-				mulUp[j], mulDown[j] = down, up
-			}
-		}
-		if uniform {
-			base := dwMin * linScale[0]
-			for j := range mulUp {
-				mulUp[j] *= base
-				mulDown[j] *= base
-			}
-		}
-		fillSlotBuckets(ct, bl,
-			ar.bSlotOff[k*(bl+1):(k+1)*(bl+1)],
-			ar.bSlotBuf[k*bl*cols:(k+1)*bl*cols])
-	}
-	stuck := a.stuck
-	hasStuck := a.stuckCount > 0
-	wData := a.w.Data
-	wMin, wMax := a.linP.WMin, a.linP.WMax
-	a.linDirty = true
-	a.runUpdateTiles(false, func(_, lo, hi int, _ *rngutil.Source) int64 {
-		var n int64
-		for i := lo; i < hi; i++ {
-			base := i * cols
-			row := wData[base : base+cols : base+cols]
-			for k := 0; k < K; k++ {
-				rt := ar.bRowTrains[k*rows+i]
-				if rt == 0 {
-					continue
-				}
-				mul := ar.bColMulDown[k*cols : (k+1)*cols]
-				if math.Signbit(us[k][i]) == sgnScale { // sign(u_i·scale) > 0: row drives up
-					mul = ar.bColMulUp[k*cols : (k+1)*cols]
-				}
-				off := ar.bSlotOff[k*(bl+1):]
-				buf := ar.bSlotBuf[k*bl*cols:]
-				for rr := rt; rr != 0; rr &= rr - 1 {
-					s := bits.TrailingZeros64(rr)
-					for _, j32 := range buf[off[s]:off[s+1]] {
-						j := int(j32)
-						if hasStuck && stuck[base+j] {
-							continue
-						}
-						var step float64
-						if uniform {
-							step = mul[j]
-						} else {
-							step = dwMin * linScale[base+j] * mul[j]
-						}
-						w := row[j] + step
-						if w < wMin {
-							w = wMin
-						} else if w > wMax {
-							w = wMax
-						}
-						row[j] = w
-						n++
-					}
-				}
-			}
-		}
-		return n
-	})
 }
 
 // train samples a BL-slot Bernoulli(p) pulse train as a bitmask.

@@ -14,7 +14,7 @@ import (
 // correctness gate: for every linear-step variant the engine accelerates,
 // the full mixed-op script must produce bit-identical outputs and exported
 // state (devices and mirror) under the fast path and under
-// Config.ReferenceUpdate — the scalar twin the benchmark speedup budget is
+// UpdateReference — the scalar twin the benchmark speedup budget is
 // measured against.
 func TestReferenceUpdateBitIdentical(t *testing.T) {
 	defer par.SetWorkers(0)
@@ -40,9 +40,7 @@ func TestReferenceUpdateBitIdentical(t *testing.T) {
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
 			par.SetWorkers(4)
-			ref := tc.cfg
-			ref.ReferenceUpdate = true
-			wantOuts, wantState := runOpScript(tc.model, ref)
+			wantOuts, wantState := runOpScriptWith(tc.model, tc.cfg, (*Array).UpdateReference)
 			gotOuts, gotState := runOpScript(tc.model, tc.cfg)
 			for o := range wantOuts {
 				for i := range wantOuts[o] {
@@ -59,6 +57,23 @@ func TestReferenceUpdateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestUpdateReferenceTakesGenericPath guards the oracle itself: the
+// bit-identity test above is only meaningful if UpdateReference really
+// bypasses the specialized kernel, which alone defers device write-back.
+func TestUpdateReferenceTakesGenericPath(t *testing.T) {
+	a := NewArray(64, 64, Ideal(), DefaultConfig(), rngutil.New(5))
+	data := rngutil.New(6)
+	u, v := scriptVec(64, 4, data), scriptVec(64, 3, data)
+	a.UpdateReference(0.05, u, v)
+	if a.linDirty {
+		t.Fatal("UpdateReference ran the specialized kernel")
+	}
+	a.Update(0.05, u, v)
+	if !a.linDirty {
+		t.Fatal("Update did not run the specialized kernel")
+	}
+}
+
 // TestUpdateAllocBudget is the crossbar-level twin of the par alloc tests:
 // once the arena is warm, the hot array ops stay within the ≤2 allocs/op
 // budget the bench-report gate enforces (output vector and/or dispatch
@@ -70,9 +85,7 @@ func TestUpdateAllocBudget(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(4)
 	a := NewArray(256, 256, Ideal(), DefaultConfig(), rngutil.New(21))
-	ref := DefaultConfig()
-	ref.ReferenceUpdate = true
-	b := NewArray(256, 256, Ideal(), ref, rngutil.New(21))
+	b := NewArray(256, 256, Ideal(), DefaultConfig(), rngutil.New(21))
 	data := rngutil.New(2)
 	x := scriptVec(256, 5, data)
 	u := scriptVec(256, 4, data)
@@ -82,7 +95,7 @@ func TestUpdateAllocBudget(t *testing.T) {
 		fn     func()
 	}{
 		"update-engine":    {2, func() { a.Update(0.02, u, v) }},
-		"update-reference": {2, func() { b.Update(0.02, u, v) }},
+		"update-reference": {2, func() { b.UpdateReference(0.02, u, v) }},
 		"forward":          {2, func() { a.Forward(x) }},
 		"backward":         {2, func() { a.Backward(u) }},
 	} {

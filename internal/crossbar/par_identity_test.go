@@ -29,6 +29,12 @@ func scriptVec(n, zeroEvery int, rng *rngutil.Source) tensor.Vector {
 // the 4-row kernel block) and drives a fixed mixed-op script through it,
 // returning every op output plus the final exported state.
 func runOpScript(model Model, cfg Config) ([]tensor.Vector, ArrayState) {
+	return runOpScriptWith(model, cfg, (*Array).Update)
+}
+
+// runOpScriptWith is runOpScript with the rank-1 updates issued through
+// update (Update or UpdateReference).
+func runOpScriptWith(model Model, cfg Config, update func(a *Array, scale float64, u, v tensor.Vector)) ([]tensor.Vector, ArrayState) {
 	a := NewArray(97, 131, model, cfg, rngutil.New(777))
 	data := rngutil.New(3)
 	var outs []tensor.Vector
@@ -36,7 +42,7 @@ func runOpScript(model Model, cfg Config) ([]tensor.Vector, ArrayState) {
 		x := scriptVec(131, 6, data)
 		outs = append(outs, a.Forward(x))
 		outs = append(outs, a.Backward(scriptVec(97, 5, data)))
-		a.Update(0.02, scriptVec(97, 4, data), scriptVec(131, 3, data))
+		update(a, 0.02, scriptVec(97, 4, data), scriptVec(131, 3, data))
 		a.UpdateDeviceExact(step, step, 3, step%2 == 0)
 		outs = append(outs, a.Forward(x))
 	}

@@ -44,3 +44,49 @@ func Quantile(samples []float64, q float64) float64 {
 	sort.Float64s(s)
 	return NearestRank(s, q)
 }
+
+// LatencyWindow is a fixed-size ring of the most recent latency samples
+// with nearest-rank quantile queries — the adaptive hedge-delay estimator
+// shared by the serve replicas and the cluster router. Queries sort a copy
+// (the windows are tiny), so a window's answers depend only on the set of
+// retained samples, never on where the ring cursor sits. A LatencyWindow is
+// not synchronized; callers that share one must lock around it.
+type LatencyWindow struct {
+	buf  []float64
+	n    int // valid entries
+	next int
+}
+
+// NewLatencyWindow returns an empty window retaining the last size samples.
+func NewLatencyWindow(size int) *LatencyWindow {
+	return &LatencyWindow{buf: make([]float64, size)}
+}
+
+// Add records one sample, evicting the oldest once the window is full.
+func (w *LatencyWindow) Add(v float64) {
+	w.buf[w.next] = v
+	w.next = (w.next + 1) % len(w.buf)
+	if w.n < len(w.buf) {
+		w.n++
+	}
+}
+
+// Len reports the number of retained samples.
+func (w *LatencyWindow) Len() int { return w.n }
+
+// Quantile returns the q-th nearest-rank quantile of the retained samples,
+// or 0 when empty. Once the ring has wrapped, buf[:n] is the whole ring.
+func (w *LatencyWindow) Quantile(q float64) float64 { return Quantile(w.buf[:w.n], q) }
+
+// HedgeDelay returns the q-th quantile clamped to [min, max]: min floors
+// the delay (and stands in while the window is empty), max > 0 caps it.
+func (w *LatencyWindow) HedgeDelay(q, min, max float64) float64 {
+	d := w.Quantile(q)
+	if d < min {
+		d = min
+	}
+	if max > 0 && d > max {
+		d = max
+	}
+	return d
+}

@@ -275,13 +275,32 @@ func XMannCampaign(cfg CampaignConfig) []ArmResult {
 
 // RunR2 renders the full R2 experiment — both pipelines' campaign tables —
 // to w. This is the body the repro pipeline and cmd/serve-campaign share, so
-// every caller prints byte-identical tables for one config.
+// every caller prints byte-identical tables for one config. Every arm's
+// request accounting (Metrics.Check) must hold before anything is printed.
 func RunR2(w io.Writer, cfg CampaignConfig) error {
+	mlp, xm := MLPCampaign(cfg), XMannCampaign(cfg)
+	if err := checkArms("mlp", mlp); err != nil {
+		return err
+	}
+	if err := checkArms("xmann", xm); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "open-loop Poisson load: %.0f req/s for %.1fs virtual, %d replicas, deadline %.1fms\n",
 		cfg.Rate, cfg.Duration, cfg.Replicas, cfg.Policies[0].Deadline*1e3)
 	fmt.Fprintf(w, "policies: none (no remediation), retry (verify reads + backoff), self-heal (full stack)\n\n")
-	fmt.Fprint(w, FormatTable("analog digits MLP (PCM devices)", MLPCampaign(cfg)))
+	fmt.Fprint(w, FormatTable("analog digits MLP (PCM devices)", mlp))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, FormatTable("X-MANN distributed memory", XMannCampaign(cfg)))
+	fmt.Fprint(w, FormatTable("X-MANN distributed memory", xm))
+	return nil
+}
+
+// checkArms runs the request-accounting invariant on every arm of one
+// pipeline's campaign.
+func checkArms(pipeline string, results []ArmResult) error {
+	for _, r := range results {
+		if err := r.M.Check(); err != nil {
+			return fmt.Errorf("%s/%.2f/%s: %w", pipeline, r.Level, r.Policy, err)
+		}
+	}
 	return nil
 }

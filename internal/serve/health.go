@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -35,38 +34,6 @@ func (s BreakerState) String() string {
 	return "state?"
 }
 
-// latWindow is a fixed-size ring of recent service latencies supporting
-// deterministic quantile queries (sorted copy — the windows are tiny).
-type latWindow struct {
-	buf  []float64
-	n    int // valid entries
-	next int
-}
-
-func newLatWindow(size int) *latWindow { return &latWindow{buf: make([]float64, size)} }
-
-func (w *latWindow) add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-}
-
-// quantile returns the q-th latency quantile of the window by nearest rank,
-// or 0 when empty. The window may have wrapped, in which case buf[:n] is the
-// full ring regardless of cursor position — order doesn't matter since the
-// quantile sorts anyway.
-func (w *latWindow) quantile(q float64) float64 {
-	if w.n == 0 {
-		return 0
-	}
-	s := make([]float64, w.n)
-	copy(s, w.buf[:w.n])
-	sort.Float64s(s)
-	return obs.NearestRank(s, q)
-}
-
 // Health is the per-replica accounting driving the circuit breaker:
 // canary-divergence and latency EWMAs, a transient-rate EWMA from serving,
 // and a latency window for the hedging quantile. It synchronizes itself so
@@ -83,7 +50,7 @@ type Health struct {
 	divEWMA   float64 // canary divergence
 	transEWMA float64 // serving transient (verify-read mismatch) rate
 	latEWMA   float64 // service latency, seconds
-	window    *latWindow
+	window    *obs.LatencyWindow
 }
 
 // NewHealth builds the tracker for one replica under pol.
@@ -104,7 +71,7 @@ func NewHealth(pol Policy) *Health {
 		alpha:     alpha,
 		degradeAt: degrade,
 		quarAt:    quarantine,
-		window:    newLatWindow(64),
+		window:    obs.NewLatencyWindow(64),
 	}
 }
 
@@ -146,7 +113,7 @@ func (h *Health) ObserveServe(latency float64, transient bool) {
 		t = 1
 	}
 	h.transEWMA = h.alpha*t + (1-h.alpha)*h.transEWMA
-	h.window.add(latency)
+	h.window.Add(latency)
 }
 
 // ObserveCanary folds one canary round's divergence fraction into the EWMA
@@ -191,12 +158,5 @@ func (h *Health) Readmit(div float64) {
 func (h *Health) HedgeDelay(q, min, max float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d := h.window.quantile(q)
-	if d < min {
-		d = min
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
+	return h.window.HedgeDelay(q, min, max)
 }

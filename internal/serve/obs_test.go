@@ -12,57 +12,59 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
+// The latency window behind Health.HedgeDelay (obs.LatencyWindow, shared
+// with the cluster router) at its edges and across ring wraparound.
 func TestLatWindowQuantileEdges(t *testing.T) {
-	w := newLatWindow(4)
-	if got := w.quantile(0.5); got != 0 {
+	w := obs.NewLatencyWindow(4)
+	if got := w.Quantile(0.5); got != 0 {
 		t.Fatalf("empty window quantile = %v, want 0", got)
 	}
 
-	w.add(7) // n = 1: every quantile is the one sample
+	w.Add(7) // n = 1: every quantile is the one sample
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := w.quantile(q); got != 7 {
+		if got := w.Quantile(q); got != 7 {
 			t.Fatalf("single-sample quantile(%v) = %v, want 7", q, got)
 		}
 	}
 
-	w.add(3)
-	w.add(9)
-	w.add(1) // window exactly full, cursor wrapped to 0, no eviction yet
-	if got := w.quantile(0); got != 1 {
+	w.Add(3)
+	w.Add(9)
+	w.Add(1) // window exactly full, cursor wrapped to 0, no eviction yet
+	if got := w.Quantile(0); got != 1 {
 		t.Fatalf("full-window min = %v, want 1", got)
 	}
-	if got := w.quantile(1); got != 9 {
+	if got := w.Quantile(1); got != 9 {
 		t.Fatalf("full-window max = %v, want 9", got)
 	}
-	if got := w.quantile(0.5); got != 3 { // nearest rank: ceil(0.5*4)=2nd of {1,3,7,9}
+	if got := w.Quantile(0.5); got != 3 { // nearest rank: ceil(0.5*4)=2nd of {1,3,7,9}
 		t.Fatalf("full-window p50 = %v, want 3", got)
 	}
 }
 
 func TestLatWindowWraparound(t *testing.T) {
-	w := newLatWindow(4)
+	w := obs.NewLatencyWindow(4)
 	for i := 1; i <= 10; i++ { // retained after wrap: {7, 8, 9, 10}
-		w.add(float64(i))
+		w.Add(float64(i))
 	}
-	if w.n != 4 {
-		t.Fatalf("window n = %d, want 4", w.n)
+	if w.Len() != 4 {
+		t.Fatalf("window n = %d, want 4", w.Len())
 	}
-	if got := w.quantile(0); got != 7 {
+	if got := w.Quantile(0); got != 7 {
 		t.Fatalf("post-wrap min = %v, want 7 (oldest retained)", got)
 	}
-	if got := w.quantile(1); got != 10 {
+	if got := w.Quantile(1); got != 10 {
 		t.Fatalf("post-wrap max = %v, want 10", got)
 	}
-	if got := w.quantile(0.75); got != 9 { // ceil(0.75*4)=3rd of {7,8,9,10}
+	if got := w.Quantile(0.75); got != 9 { // ceil(0.75*4)=3rd of {7,8,9,10}
 		t.Fatalf("post-wrap p75 = %v, want 9", got)
 	}
 	// Quantiles must not depend on where the ring cursor happens to sit.
-	w2 := newLatWindow(4)
+	w2 := obs.NewLatencyWindow(4)
 	for _, v := range []float64{10, 7, 9, 8} {
-		w2.add(v)
+		w2.Add(v)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if a, b := w.quantile(q), w2.quantile(q); a != b {
+		if a, b := w.Quantile(q), w2.Quantile(q); a != b {
 			t.Fatalf("quantile(%v) depends on insertion order: %v vs %v", q, a, b)
 		}
 	}
