@@ -1,12 +1,12 @@
 GO ?= go
 
 .PHONY: all build fmt vet lint test race check ci-sync smoke cluster-smoke \
-	determinism obs-smoke bench-quick bench-baseline campaign \
+	determinism obs-smoke bench-quick bench-selftest bench-baseline campaign \
 	serve-campaign train-campaign cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
-all: check smoke cluster-smoke determinism obs-smoke bench-quick
+all: check smoke cluster-smoke determinism obs-smoke bench-quick bench-selftest
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,11 @@ BENCH_QUICK = $(GO) run ./cmd/bench-report -benchtime 0.3s -workers 4 \
 	-tolerance 0.35 -min-speedup 1.5
 bench-quick:
 	$(BENCH_QUICK) || $(BENCH_QUICK) || $(BENCH_QUICK)
+
+# The repository benchmark's own vet and tests. perfbench/ is a module of
+# its own, so the root `./...` patterns never reach it.
+bench-selftest:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Regenerate the committed benchmark baseline (slow, full benchtime).
 bench-baseline:

@@ -77,9 +77,9 @@ func main() {
 		fmt.Printf("=== %s: %s ===\npaper: %s\n\n", e.ID, e.Title, e.PaperClaim)
 		err = e.Run(os.Stdout, *seed, *quick)
 	case "mlp":
-		fmt.Print(serve.FormatTable("analog digits MLP (PCM devices)", serve.MLPCampaign(cfg)))
+		err = printArms("mlp", "analog digits MLP (PCM devices)", serve.MLPCampaign(cfg))
 	case "xmann":
-		fmt.Print(serve.FormatTable("X-MANN distributed memory", serve.XMannCampaign(cfg)))
+		err = printArms("xmann", "X-MANN distributed memory", serve.XMannCampaign(cfg))
 	default:
 		log.Fatalf("unknown pipeline %q (want mlp, xmann, or all)", *pipeline)
 	}
@@ -92,6 +92,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// printArms prints one pipeline's campaign table once every arm's request
+// accounting holds, as serve.RunR2 does for the full experiment.
+func printArms(pipeline, title string, arms []serve.ArmResult) error {
+	if err := serve.CheckArms(pipeline, arms); err != nil {
+		return err
+	}
+	fmt.Print(serve.FormatTable(title, arms))
+	return nil
 }
 
 // runSelfcheck exercises the live observability endpoint the way the CI

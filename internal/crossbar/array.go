@@ -727,16 +727,9 @@ func (a *Array) train(p float64) uint64 {
 	if p <= 0 {
 		return 0
 	}
-	if p > 1 {
-		p = 1 // probability saturation; bound management in the trainer
-	}
-	var t uint64
-	for s := 0; s < a.cfg.BL; s++ {
-		if a.rng.Float64() < p {
-			t |= 1 << uint(s)
-		}
-	}
-	return t
+	// p > 1 saturates to an all-ones train (every draw is below it); bound
+	// management is the trainer's job.
+	return a.rng.BernoulliMask(p, a.cfg.BL)
 }
 
 // updateExpected applies round-to-pulse updates: n_ij = |scale·u_i·v_j|/Δw

@@ -207,7 +207,13 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 	pipe := &stubPipe{infer: func() (tensor.Vector, bool) { return vec.Clone(), true }}
 	svc := NewService(pol, []*Replica{NewReplica(0, pipe, pol)}, nil, 1)
 	defer svc.Close()
-	clk := obs.NewManual(time.Unix(0, 0))
+	clk := &gatedClock{
+		Manual:  obs.NewManual(time.Unix(0, 0)),
+		entered: make(chan struct{}),
+		open:    make(chan struct{}),
+	}
+	openGate := sync.OnceFunc(func() { close(clk.open) })
+	defer openGate() // a failed wait must not leave the worker gated past Close
 	svc.SetClock(clk)
 
 	t0 := time.Now()
@@ -218,20 +224,24 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 			resCh <- err
 		}()
 	}
-	// First arrival: the worker takes it and waits for companions. Second
-	// arrival lands mid-wait and must join the block (the queue drains into
-	// the gathering worker).
+	// First arrival: the worker takes it alone and arms its gather wait,
+	// where the gate holds it. Second arrival lands mid-wait: with the
+	// worker held it provably sits in the queue, and once the gate opens
+	// the gathering worker (the only consumer) must drain it into the
+	// block before virtual time moves.
 	do()
-	do()
-	waitUntil(t, func() bool { return len(svc.queue) == 0 })
-	// Fire the wait: the worker registers its clock.After asynchronously, so
-	// keep advancing virtual time until the block dispatches (the policy
-	// deadline is far enough out that the extra advances cannot expire it).
-	wall := time.Now().Add(10 * time.Second)
-	for svc.Counters().Served < 2 && time.Now().Before(wall) {
-		clk.Advance(31 * time.Second)
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-clk.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never armed its gather wait")
 	}
+	do()
+	waitUntil(t, func() bool { return len(svc.queue) == 1 })
+	openGate()
+	waitUntil(t, func() bool { return len(svc.queue) == 0 })
+	// Fire the wait: it was registered before the worker took the second
+	// arrival, so one advance past BatchWait dispatches the block.
+	clk.Advance(31 * time.Second)
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-resCh:
@@ -249,6 +259,24 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 	if c.Batches != 1 || c.Coalesced != 2 || c.Served != 2 {
 		t.Fatalf("Batches/Coalesced/Served = %d/%d/%d, want 1/2/2", c.Batches, c.Coalesced, c.Served)
 	}
+}
+
+// gatedClock is a Manual clock whose first After call — the worker arming
+// its gather wait — blocks until the test opens the gate, so the test can
+// queue an arrival while the worker provably holds a short block.
+type gatedClock struct {
+	*obs.Manual
+	once    sync.Once
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (c *gatedClock) After(d time.Duration) <-chan time.Time {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.open
+	})
+	return c.Manual.After(d)
 }
 
 // batchSimMetrics runs one saturating single-replica simulator arm (heavy

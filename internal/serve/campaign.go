@@ -279,10 +279,10 @@ func XMannCampaign(cfg CampaignConfig) []ArmResult {
 // request accounting (Metrics.Check) must hold before anything is printed.
 func RunR2(w io.Writer, cfg CampaignConfig) error {
 	mlp, xm := MLPCampaign(cfg), XMannCampaign(cfg)
-	if err := checkArms("mlp", mlp); err != nil {
+	if err := CheckArms("mlp", mlp); err != nil {
 		return err
 	}
-	if err := checkArms("xmann", xm); err != nil {
+	if err := CheckArms("xmann", xm); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "open-loop Poisson load: %.0f req/s for %.1fs virtual, %d replicas, deadline %.1fms\n",
@@ -294,9 +294,10 @@ func RunR2(w io.Writer, cfg CampaignConfig) error {
 	return nil
 }
 
-// checkArms runs the request-accounting invariant on every arm of one
-// pipeline's campaign.
-func checkArms(pipeline string, results []ArmResult) error {
+// CheckArms runs the request-accounting invariant (Metrics.Check) on every
+// arm of one pipeline's campaign; the error names the first failing arm as
+// pipeline/level/policy. Callers printing campaign tables run it first.
+func CheckArms(pipeline string, results []ArmResult) error {
 	for _, r := range results {
 		if err := r.M.Check(); err != nil {
 			return fmt.Errorf("%s/%.2f/%s: %w", pipeline, r.Level, r.Policy, err)

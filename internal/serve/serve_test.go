@@ -173,6 +173,23 @@ func TestSelfHealDominance(t *testing.T) {
 	}
 }
 
+// TestCheckArmsNamesViolator pins the guard the campaign binaries run
+// before printing: balanced arms pass, and an arm whose dispositions do
+// not add up to its offered load is reported by pipeline/level/policy.
+func TestCheckArmsNamesViolator(t *testing.T) {
+	ok := Metrics{Offered: 5, Completed: 3, Shed: 1, Expired: 1}
+	bad := Metrics{Offered: 5, Completed: 3, Shed: 1}
+	arms := []ArmResult{{Policy: "none", Level: 0.1, M: ok}}
+	if err := CheckArms("mlp", arms); err != nil {
+		t.Fatalf("balanced arms rejected: %v", err)
+	}
+	arms = append(arms, ArmResult{Policy: "self-heal", Level: 0.25, M: bad})
+	err := CheckArms("mlp", arms)
+	if err == nil || !strings.HasPrefix(err.Error(), "mlp/0.25/self-heal: ") {
+		t.Fatalf("unbalanced arm: err = %v, want it named mlp/0.25/self-heal", err)
+	}
+}
+
 // TestWatchdogReadmitsAfterDriftRecal exercises the full heal loop on
 // recoverable damage: a drift-only campaign must quarantine replicas, and
 // recalibration (reprogramming from golden) must bring them back.
