@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race check ci-sync smoke cluster-smoke \
-	determinism obs-smoke bench-quick bench-selftest bench-baseline campaign \
-	serve-campaign train-campaign cluster-campaign
+.PHONY: all build fmt vet lint test race check ci-sync portable fuzz smoke \
+	cluster-smoke determinism obs-smoke bench-quick bench-selftest \
+	bench-baseline campaign serve-campaign train-campaign cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
-all: check smoke cluster-smoke determinism obs-smoke bench-quick bench-selftest
+all: check portable fuzz smoke cluster-smoke determinism obs-smoke bench-quick \
+	bench-selftest
 
 build:
 	$(GO) build ./...
@@ -36,6 +37,21 @@ ci-sync:
 # The core CI gate: formatting + vet + build + race-enabled tests + the
 # CI/Makefile drift check.
 check: lint build race ci-sync
+
+# The Go loops the amd64 assembly leaves shadow are the only kernels on
+# other architectures: vet and build the tree for arm64 so they keep
+# building. (vet's asmdecl check of the amd64 leaves runs in `check`.)
+portable:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+
+# Short fuzzing legs over the byte-level decoders: checkpoint payloads, the
+# write-ahead log and the fault engine's exported state must decode or be
+# rejected with an error, never panic, and round-trip exactly.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 5s
+fuzz:
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/ckpt
+	$(FUZZ) -fuzz '^FuzzReadWAL$$' ./internal/ckpt
+	$(FUZZ) -fuzz '^FuzzImportState$$' ./internal/faults
 
 # The campaign/checkpoint smoke legs CI runs beyond `check`, plus the
 # per-section experiment selection of repro-all on the fast IDs (one or two

@@ -17,7 +17,7 @@ import (
 // technology in a non-trivial lifetime position: pulsed, updated, read
 // (random streams mid-draw), drifted (PCM differential pairs with unequal
 // legs), and with run-time frozen devices.
-func arbitraryState(t *testing.T, seed uint64) *TrainingState {
+func arbitraryState(t testing.TB, seed uint64) *TrainingState {
 	t.Helper()
 	rng := rngutil.New(seed)
 	models := []crossbar.Model{

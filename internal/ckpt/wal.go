@@ -51,20 +51,14 @@ type WalRecord struct {
 // walName is the log's file name inside a Store directory.
 const walName = "wal.log"
 
-// appendWAL appends one CRC-framed record to the log and fsyncs it. Frame:
-// uint32 body length, uint32 body CRC32C, gob body. A crash mid-append
-// leaves a truncated tail that readWAL detects and discards — exactly the
-// torn-tail semantics of a real database log.
+// appendWAL appends one CRC-framed record to the log and fsyncs it. A
+// crash mid-append leaves a truncated tail that readWAL detects and
+// discards — exactly the torn-tail semantics of a real database log.
 func appendWAL(path string, rec WalRecord) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return fmt.Errorf("ckpt: wal encode: %w", err)
+	frame, err := walFrame(rec)
+	if err != nil {
+		return err
 	}
-	frame := make([]byte, 0, 8+body.Len())
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(body.Len()))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body.Bytes(), crcTable))
-	frame = append(frame, body.Bytes()...)
-
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -80,6 +74,19 @@ func appendWAL(path string, rec WalRecord) error {
 	return f.Close()
 }
 
+// walFrame encodes one log record as a frame: uint32 body length, uint32
+// body CRC32C, gob body.
+func walFrame(rec WalRecord) ([]byte, error) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
+		return nil, fmt.Errorf("ckpt: wal encode: %w", err)
+	}
+	frame := make([]byte, 0, 8+body.Len())
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(body.Len()))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body.Bytes(), crcTable))
+	return append(frame, body.Bytes()...), nil
+}
+
 // readWAL parses the log, returning every intact record in order plus
 // whether a truncated or corrupted tail was discarded. A missing log is an
 // empty history, not an error (fresh directory).
@@ -91,27 +98,34 @@ func readWAL(path string) (recs []WalRecord, torn bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
+	recs, torn = parseWAL(raw)
+	return recs, torn, nil
+}
+
+// parseWAL splits raw log bytes into their intact records, stopping at the
+// first frame that is truncated, fails its CRC or does not decode.
+func parseWAL(raw []byte) (recs []WalRecord, torn bool) {
 	off := 0
 	for off < len(raw) {
 		if off+8 > len(raw) {
-			return recs, true, nil
+			return recs, true
 		}
 		blen := int(binary.LittleEndian.Uint32(raw[off:]))
 		sum := binary.LittleEndian.Uint32(raw[off+4:])
 		body := raw[off+8:]
 		if blen > len(body) {
-			return recs, true, nil
+			return recs, true
 		}
 		body = body[:blen]
 		if crc32.Checksum(body, crcTable) != sum {
-			return recs, true, nil
+			return recs, true
 		}
 		var rec WalRecord
 		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return recs, true, nil
+			return recs, true
 		}
 		recs = append(recs, rec)
 		off += 8 + blen
 	}
-	return recs, false, nil
+	return recs, false
 }

@@ -14,12 +14,27 @@ import (
 // pass (one load of x feeds that many dot products, cutting the traffic on
 // the input vector and giving the CPU as many independent dependency
 // chains), and from tiles executing in parallel across workers.
+//
+// On amd64 hosts with AVX2 the innermost loops of forwardTile,
+// forwardTileBatch and backwardTile run as assembly leaves
+// (kernel_amd64.s). SIMD lanes span independent output elements, never one
+// element's sum, and every step is a separate multiply and add (no FMA),
+// so each element sees the same roundings in the same order as in the Go
+// loops, which stay as the fallback and as the leaves' test oracle.
 
-// forwardTile computes y[i] = Σ_j w[i,j]·x[j] for rows lo ≤ i < hi. Six
-// rows per pass is the measured sweet spot for the scalar-code generator:
-// six accumulator chains hide the FP add latency without spilling the row
-// base pointers to the stack (eight rows does spill, and loses the gain).
+// forwardTile computes y[i] = Σ_j w[i,j]·x[j] for rows lo ≤ i < hi. Where
+// the host has a SIMD leaf (forwardLeaf), it takes whole 16-row blocks and
+// forwardRows finishes the remainder; elsewhere forwardRows does it all.
 func forwardTile(w []float64, cols int, x, y tensor.Vector, lo, hi int) {
+	forwardRows(w, cols, x, y, forwardLeaf(w, cols, x, y, lo, hi), hi)
+}
+
+// forwardRows is forwardTile's Go loop, and the oracle its SIMD leaf is
+// tested against. Six rows per pass is the measured sweet spot for the
+// scalar-code generator: six accumulator chains hide the FP add latency
+// without spilling the row base pointers to the stack (eight rows does
+// spill, and loses the gain).
+func forwardRows(w []float64, cols int, x, y tensor.Vector, lo, hi int) {
 	i := lo
 	for ; i+6 <= hi; i += 6 {
 		r0 := w[i*cols : (i+1)*cols : (i+1)*cols]
@@ -67,51 +82,54 @@ func forwardTile(w []float64, cols int, x, y tensor.Vector, lo, hi int) {
 // backwardTile accumulates y[j] += Σ_i w[i,j]·x[i] for columns lo ≤ j < hi,
 // visiting i in ascending order per output element and skipping x[i] == 0
 // exactly like the scalar reference (the skip is observable: 0·w can raise
-// -0.0 or NaN artifacts the reference never produces).
+// -0.0 or NaN artifacts the reference never produces). Each pass streams
+// four contiguous row segments into the contiguous output segment.
 func backwardTile(w []float64, rows, cols int, x, y tensor.Vector, lo, hi int) {
+	y = y[lo:hi]
 	i := 0
 	for ; i+4 <= rows; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-			// Branch-free block: one load of y[j] covers four rows. The
-			// adds stay sequential per output (t += r0·x0, then r1·x1, …),
-			// the exact i-ascending order of the scalar reference.
-			r0 := w[i*cols : (i+1)*cols : (i+1)*cols]
-			r1 := w[(i+1)*cols : (i+2)*cols : (i+2)*cols]
-			r2 := w[(i+2)*cols : (i+3)*cols : (i+3)*cols]
-			r3 := w[(i+3)*cols : (i+4)*cols : (i+4)*cols]
-			for j := lo; j < hi; j++ {
-				t := y[j]
-				t += r0[j] * x0
-				t += r1[j] * x1
-				t += r2[j] * x2
-				t += r3[j] * x3
-				y[j] = t
-			}
+			axpyRows4(y, w[i*cols+lo:i*cols+hi], w[(i+1)*cols+lo:(i+1)*cols+hi],
+				w[(i+2)*cols+lo:(i+2)*cols+hi], w[(i+3)*cols+lo:(i+3)*cols+hi],
+				x0, x1, x2, x3)
 			continue
 		}
 		// A lane is zero: stream the four rows one at a time with the
 		// reference's per-row skip.
 		for k := i; k < i+4; k++ {
-			xk := x[k]
-			if xk == 0 {
-				continue
-			}
-			row := w[k*cols : (k+1)*cols : (k+1)*cols]
-			for j := lo; j < hi; j++ {
-				y[j] += row[j] * xk
+			if x[k] != 0 {
+				axpyRow(y, w[k*cols+lo:k*cols+hi], x[k])
 			}
 		}
 	}
 	for ; i < rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
+		if x[i] != 0 {
+			axpyRow(y, w[i*cols+lo:i*cols+hi], x[i])
 		}
-		row := w[i*cols : (i+1)*cols : (i+1)*cols]
-		for j := lo; j < hi; j++ {
-			y[j] += row[j] * xi
-		}
+	}
+}
+
+// axpyRows4Go computes y[j] = (((y[j] + r0[j]·x0) + r1[j]·x1) + r2[j]·x2) +
+// r3[j]·x3: one load of y[j] covers four rows, and the adds stay sequential
+// per output, the exact i-ascending order of the scalar reference. It is
+// the Go twin of the SIMD leaf axpyRows4 dispatches to.
+func axpyRows4Go(y, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
+	r0, r1, r2, r3 = r0[:len(y)], r1[:len(y)], r2[:len(y)], r3[:len(y)]
+	for j, t := range y {
+		t += r0[j] * x0
+		t += r1[j] * x1
+		t += r2[j] * x2
+		t += r3[j] * x3
+		y[j] = t
+	}
+}
+
+// axpyRowGo computes y[j] += r[j]·x, the one-row twin of axpyRows4Go.
+func axpyRowGo(y, r []float64, x float64) {
+	r = r[:len(y)]
+	for j := range y {
+		y[j] += r[j] * x
 	}
 }
 
@@ -128,8 +146,17 @@ func ForwardTile(m *tensor.Matrix, x, y tensor.Vector, lo, hi int) {
 // block instead of once per sample, dividing the matrix traffic that
 // dominates wide batched MVMs. Every output element still accumulates in
 // strictly ascending j with a single accumulator, so per-sample results are
-// bit-identical to forwardTile and to the scalar reference.
+// bit-identical to forwardTile and to the scalar reference. Where the host
+// has a SIMD leaf (forwardBatchLeaf), it takes the samples, four at a time
+// over 8-row blocks; elsewhere forwardRowsBatch does it all.
 func forwardTileBatch(w []float64, cols int, xs, ys []tensor.Vector, lo, hi int) {
+	s := forwardBatchLeaf(w, cols, xs, ys, lo, hi)
+	forwardRowsBatch(w, cols, xs[s:], ys[s:], lo, hi)
+}
+
+// forwardRowsBatch is forwardTileBatch's Go loop, and the oracle its SIMD
+// leaf is tested against.
+func forwardRowsBatch(w []float64, cols int, xs, ys []tensor.Vector, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := w[i*cols : (i+1)*cols : (i+1)*cols]
 		s := 0

@@ -17,7 +17,10 @@
 // alfg.go). The port exists so the per-slot draws of stochastic pulse
 // trains reach the generator as concrete calls rather than through the
 // rand.Source interface; its value stream is the standard library's, bit
-// for bit, which TestAlfgMatchesStdlib pins on every toolchain.
+// for bit, which TestAlfgMatchesStdlib pins on every toolchain. On amd64
+// hosts with AVX2 a pulse train takes its draws four at a time in an
+// assembly leaf (draw_amd64.s) that yields the Go loop's bits and leaves
+// the generator where the Go loop would.
 package rngutil
 
 import (
@@ -150,40 +153,13 @@ again:
 // BernoulliMask returns an n-slot Bernoulli(p) pulse train as a bitmask:
 // bit i is set when the i-th draw falls below p. It consumes and returns
 // exactly what n calls of Float64() < p would, retries included, with the
-// generator's indices and draw count held in locals and the float compare
-// replaced by its integer equivalent (see bernoulliThreshold). n must be
-// in [0, 64].
+// float compare replaced by its integer equivalent (see
+// bernoulliThreshold). n must be in [0, 64].
 func (s *Source) BernoulliMask(p float64, n int) uint64 {
 	if n < 0 || n > 64 {
 		panic("rngutil: BernoulliMask n out of [0, 64]")
 	}
-	k := bernoulliThreshold(p)
-	g := s.gen
-	tap, feed, draws := g.tap, g.feed, g.n
-	var m uint64
-	for i := 0; i < n; i++ {
-	again:
-		tap--
-		if tap < 0 {
-			tap += rngLen
-		}
-		feed--
-		if feed < 0 {
-			feed += rngLen
-		}
-		x := g.vec[feed] + g.vec[tap]
-		g.vec[feed] = x
-		draws++
-		v := uint64(x) & rngMask
-		if v >= retryAt {
-			goto again // Float64 would round this draw up to 1.0
-		}
-		if v < k {
-			m |= 1 << uint(i)
-		}
-	}
-	g.tap, g.feed, g.n = tap, feed, draws
-	return m
+	return s.gen.bernoulliMask(bernoulliThreshold(p), n, useAVX2)
 }
 
 // retryAt is the least Int63 value whose quotient by 2⁶³ rounds up to 1.0,
@@ -210,7 +186,7 @@ func bernoulliThreshold(p float64) uint64 {
 	// Above 2⁵³, t is an integer and v converts to t or to its float64
 	// neighbour below, whichever is nearer; the midpoint ties to the one
 	// with the even mantissa.
-	below := math.Nextafter(t, 0)
+	below := math.Float64frombits(math.Float64bits(t) - 1) // t is positive and normal
 	k := uint64(t) - uint64(t-below)/2
 	if math.Float64bits(t)&1 != 0 {
 		k++ // the midpoint rounds down to below
