@@ -1,13 +1,13 @@
 GO ?= go
 
 .PHONY: all build fmt vet lint test race check ci-sync portable fuzz smoke \
-	cluster-smoke determinism obs-smoke bench-quick bench-selftest \
+	cluster-smoke determinism golden obs-smoke bench-quick bench-selftest \
 	bench-baseline campaign serve-campaign train-campaign cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
-all: check portable fuzz smoke cluster-smoke determinism obs-smoke bench-quick \
-	bench-selftest
+all: check portable fuzz smoke cluster-smoke determinism golden obs-smoke \
+	bench-quick bench-selftest
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,26 @@ determinism:
 	$(GO) run ./cmd/bench-report -quick -workers 1 > /tmp/bench.w1.txt
 	$(GO) run ./cmd/bench-report -quick -workers 4 > /tmp/bench.w4.txt
 	cmp /tmp/bench.w1.txt /tmp/bench.w4.txt
+
+# Golden outputs: the quick campaign, experiment and kernel-checksum outputs
+# (and the serve campaign's stable metric and trace dumps) must stay
+# byte-identical to the committed files under testdata/golden, so a change
+# that claims to keep behaviour the same is checked, not only claimed. A
+# change that moves them on purpose regenerates the files with
+# `make golden GOLDEN_OUT=testdata/golden` and says why in CHANGES.md.
+GOLDEN = testdata/golden
+GOLDEN_OUT ?= /tmp/golden
+GOLDEN_FILES = bench-report.txt train-campaign.txt serve-campaign.txt \
+	serve-campaign.metrics serve-campaign.traces repro-all.txt
+golden:
+	mkdir -p $(GOLDEN_OUT)
+	$(GO) run ./cmd/bench-report -quick > $(GOLDEN_OUT)/bench-report.txt
+	$(GO) run ./cmd/train-campaign -smoke > $(GOLDEN_OUT)/train-campaign.txt
+	$(GO) run ./cmd/serve-campaign -quick \
+		-metrics-out $(GOLDEN_OUT)/serve-campaign.metrics \
+		-trace-out $(GOLDEN_OUT)/serve-campaign.traces > $(GOLDEN_OUT)/serve-campaign.txt
+	$(GO) run ./cmd/repro-all -quick -only F1,F2,C7,T1,C5,C6,T2 > $(GOLDEN_OUT)/repro-all.txt
+	for f in $(GOLDEN_FILES); do cmp $(GOLDEN)/$$f $(GOLDEN_OUT)/$$f || exit 1; done
 
 # Observability smoke: boot the campaign with the HTTP endpoint up and probe
 # /metrics, /traces and /debug/pprof/profile in-process; diff the stable

@@ -66,6 +66,9 @@ type Report struct {
 	Schema     string `json:"schema"`
 	Workers    int    `json:"workers"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// CPU is the host's CPU model, so a baseline is never read without the
+	// hardware it was taken on.
+	CPU string `json:"cpu"`
 	// CalibrationNsPerOp is the serial 256×256 MVM on this machine; the
 	// regression gate divides every benchmark by it so reports taken on
 	// different hardware remain comparable.
@@ -226,8 +229,23 @@ func newArray(n int) *crossbar.Array {
 	return crossbar.NewArray(n, n, crossbar.Ideal(), crossbar.DefaultConfig(), rngutil.New(uint64(5000+n)))
 }
 
+// cpuModel names the host CPU from the first "model name" line of
+// /proc/cpuinfo, or "unknown" where /proc does not say.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), ":"))
+		}
+	}
+	return "unknown"
+}
+
 func run(workers int) Report {
-	rep := Report{Schema: "bench-report/v1", Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep := Report{Schema: "bench-report/v1", Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0), CPU: cpuModel()}
 
 	calib := measure("calibration_serial_matvec_256", func(b *testing.B) {
 		b.ReportAllocs()

@@ -88,6 +88,10 @@ func (d *DropConnectMat) Backward(dd tensor.Vector) tensor.Vector {
 	return y
 }
 
+// SkipBackward implements nn.BackwardSkipper: neither the masked nor the
+// exact Backward draws from the mask stream, so only the shape check stays.
+func (d *DropConnectMat) SkipBackward(dd tensor.Vector) { d.Inner.SkipBackward(dd) }
+
 // Update implements nn.Mat: dropped connections receive no gradient.
 func (d *DropConnectMat) Update(scale float64, u, v tensor.Vector) {
 	if !d.Train {
@@ -110,7 +114,7 @@ func (d *DropConnectMat) Update(scale float64, u, v tensor.Vector) {
 	}
 }
 
-var _ nn.Mat = (*DropConnectMat)(nil)
+var _ nn.BackwardSkipper = (*DropConnectMat)(nil)
 
 // DropConnectFactory returns a factory producing drop-connect-wrapped dense
 // matrices for hardware-aware digital pre-training.

@@ -44,6 +44,9 @@ func (m *mixedPrecisionMat) Forward(x tensor.Vector) tensor.Vector { return m.a.
 // Backward implements nn.Mat (analog transposed MVM).
 func (m *mixedPrecisionMat) Backward(d tensor.Vector) tensor.Vector { return m.a.Backward(d) }
 
+// SkipBackward implements nn.BackwardSkipper.
+func (m *mixedPrecisionMat) SkipBackward(d tensor.Vector) { m.a.SkipBackward(d) }
+
 // Update implements nn.Mat: accumulate digitally, flush whole device steps
 // as exact pulse bursts to individual crosspoints.
 func (m *mixedPrecisionMat) Update(scale float64, u, v tensor.Vector) {
@@ -66,4 +69,4 @@ func (m *mixedPrecisionMat) Update(scale float64, u, v tensor.Vector) {
 	}
 }
 
-var _ nn.Mat = (*mixedPrecisionMat)(nil)
+var _ nn.BackwardSkipper = (*mixedPrecisionMat)(nil)

@@ -63,6 +63,13 @@ func (t *tikiTakaMat) Backward(d tensor.Vector) tensor.Vector {
 	return y
 }
 
+// SkipBackward implements nn.BackwardSkipper: both arrays' cycles, in
+// Backward's order.
+func (t *tikiTakaMat) SkipBackward(d tensor.Vector) {
+	t.c.SkipBackward(d)
+	t.a.SkipBackward(d)
+}
+
 // Update implements nn.Mat: stochastic gradient pulses land on A; every
 // transferEvery updates one column of A is read out (a single forward array
 // operation with a one-hot input) and written into C with a rank-1 pulse
@@ -91,4 +98,4 @@ func (t *tikiTakaMat) EffectiveWeights() *tensor.Matrix {
 	return w
 }
 
-var _ nn.Mat = (*tikiTakaMat)(nil)
+var _ nn.BackwardSkipper = (*tikiTakaMat)(nil)

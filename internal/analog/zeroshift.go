@@ -51,6 +51,10 @@ func (z *zeroShiftedMat) Backward(d tensor.Vector) tensor.Vector {
 	return y
 }
 
+// SkipBackward implements nn.BackwardSkipper: the frozen reference MVM has
+// no side effects, so only the live array's cycle is left.
+func (z *zeroShiftedMat) SkipBackward(d tensor.Vector) { z.a.SkipBackward(d) }
+
 // Update implements nn.Mat: gradient pulses go to the live array only.
 func (z *zeroShiftedMat) Update(scale float64, u, v tensor.Vector) {
 	z.a.Update(scale, u, v)
@@ -65,4 +69,4 @@ func (z *zeroShiftedMat) EffectiveWeights() *tensor.Matrix {
 	return w
 }
 
-var _ nn.Mat = (*zeroShiftedMat)(nil)
+var _ nn.BackwardSkipper = (*zeroShiftedMat)(nil)

@@ -405,9 +405,7 @@ func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 	a.acquire()
 	defer a.release()
-	if len(d) != a.rows {
-		panic(fmt.Sprintf("crossbar: Backward expects %d inputs, got %d", a.rows, len(d)))
-	}
+	a.checkBackward(d)
 	if a.hook != nil {
 		a.hook.BeginOp(a, OpBackward)
 	}
@@ -426,9 +424,38 @@ func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 	if a.hook != nil {
 		a.hook.FilterOutput(a, OpBackward, y)
 	}
+	a.countBackward()
+	return y
+}
+
+// SkipBackward implements nn.BackwardSkipper: a backward cycle whose result
+// the caller discards. With a fault hook attached or read noise on, the
+// cycle is observable (the hook sees the op, the noise draws advance the
+// array's stream), so the full Backward runs and its result is dropped.
+// Otherwise Backward draws nothing and touches no device, and only its
+// shape check and op accounting remain: the cycle still counts in
+// Counts.Backwards and Counts.DigitalMACs, so ArrayState, checkpoints and
+// every count-derived table are the same as after Backward.
+func (a *Array) SkipBackward(d tensor.Vector) {
+	if a.hook != nil || a.cfg.ReadNoise > 0 {
+		a.Backward(d)
+		return
+	}
+	a.acquire()
+	defer a.release()
+	a.checkBackward(d)
+	a.countBackward()
+}
+
+func (a *Array) checkBackward(d tensor.Vector) {
+	if len(d) != a.rows {
+		panic(fmt.Sprintf("crossbar: Backward expects %d inputs, got %d", a.rows, len(d)))
+	}
+}
+
+func (a *Array) countBackward() {
 	a.Counts.Backwards++
 	a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
-	return y
 }
 
 func (a *Array) finishRead(y tensor.Vector) {

@@ -106,6 +106,10 @@ func (r *RemappedArray) Backward(d tensor.Vector) tensor.Vector {
 	return y
 }
 
+// SkipBackward implements nn.BackwardSkipper: the column gather has no side
+// effects, so only the physical array's cycle is left.
+func (r *RemappedArray) SkipBackward(d tensor.Vector) { r.Arr.SkipBackward(d) }
+
 // Update implements nn.Mat.
 func (r *RemappedArray) Update(scale float64, u, v tensor.Vector) {
 	if len(v) != r.logical {

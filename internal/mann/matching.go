@@ -105,14 +105,14 @@ func (m *MatchingNet) TrainEpisode(ep *dataset.Episode, lr float64) float64 {
 			dSupports[i].AXPY(scale, cosGrad(es[i], eq))
 		}
 		// The embedding cache still holds q's forward pass.
-		m.Embed.Backward(dEq, lr)
+		m.Embed.Learn(dEq, lr)
 	}
 
 	// Apply accumulated support gradients (one re-forward each to restore
 	// the layer caches for backprop).
 	for i, s := range ep.Support {
 		m.Embed.Forward(s)
-		m.Embed.Backward(dSupports[i], lr)
+		m.Embed.Learn(dSupports[i], lr)
 	}
 	return totalLoss / float64(len(ep.Query))
 }

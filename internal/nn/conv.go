@@ -99,6 +99,19 @@ func (c *Conv2D) Forward(in *Image) *Image {
 func (c *Conv2D) Backward(dout *Image, lr float64) *Image {
 	in := c.in
 	din := NewImage(in.C, in.H, in.W)
+	c.backward(dout, lr, din)
+	return din
+}
+
+// Learn is Backward for a caller that discards dL/din (the bottom layer of
+// a network): the kernels and biases move exactly as under Backward, but
+// the input-gradient accumulation is skipped.
+func (c *Conv2D) Learn(dout *Image, lr float64) { c.backward(dout, lr, nil) }
+
+// backward applies the SGD step and, when din is non-nil, accumulates
+// dL/din into it.
+func (c *Conv2D) backward(dout *Image, lr float64, din *Image) {
+	in := c.in
 	for o := 0; o < c.OutC; o++ {
 		ker := c.Kernels[o]
 		dker := NewImage(c.InC, c.K, c.K)
@@ -114,7 +127,9 @@ func (c *Conv2D) Backward(dout *Image, lr float64) *Image {
 					for ky := 0; ky < c.K; ky++ {
 						for kx := 0; kx < c.K; kx++ {
 							dker.Set(ic, ky, kx, dker.At(ic, ky, kx)+g*in.At(ic, y+ky, x+kx))
-							din.Set(ic, y+ky, x+kx, din.At(ic, y+ky, x+kx)+g*ker.At(ic, ky, kx))
+							if din != nil {
+								din.Set(ic, y+ky, x+kx, din.At(ic, y+ky, x+kx)+g*ker.At(ic, ky, kx))
+							}
 						}
 					}
 				}
@@ -125,7 +140,6 @@ func (c *Conv2D) Backward(dout *Image, lr float64) *Image {
 		}
 		c.Bias[o] -= lr * dbias
 	}
-	return din
 }
 
 // MaxPool2 is a 2×2, stride-2 max-pooling layer.
@@ -222,8 +236,12 @@ func (n *ConvNet) Backward(dembed tensor.Vector, lr float64) {
 	dflat := n.Proj.Backward(dembed, lr)
 	d := NewImage(n.flatShape.C, n.flatShape.H, n.flatShape.W)
 	copy(d.Data, dflat)
-	for i := len(n.Convs) - 1; i >= 0; i-- {
+	for i := len(n.Convs) - 1; i > 0; i-- {
 		d = n.Pools[i].Backward(d)
 		d = n.Convs[i].Backward(d, lr)
+	}
+	// Nothing below the first conv reads its input gradient.
+	if len(n.Convs) > 0 {
+		n.Convs[0].Learn(n.Pools[0].Backward(d), lr)
 	}
 }

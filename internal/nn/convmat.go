@@ -77,8 +77,20 @@ func (c *ConvMat) Forward(in *Image) *Image {
 // Backward consumes dL/dout, updates the kernels through the Mat (one
 // rank-1 update per patch position), and returns dL/din.
 func (c *ConvMat) Backward(dout *Image, lr float64) *Image {
+	din := NewImage(c.in.C, c.in.H, c.in.W)
+	c.backward(dout, lr, din)
+	return din
+}
+
+// Learn is Backward for a caller that discards dL/din: each patch's
+// backward cycle goes through SkipBackward, so storage that can skip the
+// transposed MVM does, and the updates are exactly Backward's.
+func (c *ConvMat) Learn(dout *Image, lr float64) { c.backward(dout, lr, nil) }
+
+// backward runs one backward cycle and one update per active patch
+// position and, when din is non-nil, accumulates dL/din into it.
+func (c *ConvMat) backward(dout *Image, lr float64, din *Image) {
 	in := c.in
-	din := NewImage(in.C, in.H, in.W)
 	delta := make(tensor.Vector, c.OutC)
 	for y := 0; y < dout.H; y++ {
 		for x := 0; x < dout.W; x++ {
@@ -96,13 +108,17 @@ func (c *ConvMat) Backward(dout *Image, lr float64) *Image {
 			if !active {
 				continue
 			}
-			dpatch := c.W.Backward(delta)
-			idx := 0
-			for ic := 0; ic < c.InC; ic++ {
-				for ky := 0; ky < c.K; ky++ {
-					for kx := 0; kx < c.K; kx++ {
-						din.Set(ic, y+ky, x+kx, din.At(ic, y+ky, x+kx)+dpatch[idx])
-						idx++
+			if din == nil {
+				SkipBackward(c.W, delta)
+			} else {
+				dpatch := c.W.Backward(delta)
+				idx := 0
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						for kx := 0; kx < c.K; kx++ {
+							din.Set(ic, y+ky, x+kx, din.At(ic, y+ky, x+kx)+dpatch[idx])
+							idx++
+						}
 					}
 				}
 			}
@@ -111,5 +127,4 @@ func (c *ConvMat) Backward(dout *Image, lr float64) *Image {
 			}
 		}
 	}
-	return din
 }

@@ -93,20 +93,39 @@ func (l *DenseLayer) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 // the weight update W += -lr·(δ ⊗ x) in the same pass (lr == 0 skips the
 // update, e.g. for inference-only sensitivity analysis).
 func (l *DenseLayer) Backward(dy tensor.Vector, lr float64) tensor.Vector {
-	if l.x == nil {
-		panic("nn: Backward called before Forward")
-	}
-	prime := l.Act.prime(l.z, l.y)
-	delta := tensor.Hadamard(dy, prime)
+	delta := l.delta(dy)
 	// dL/dx before the bias column is stripped.
 	dxExt := l.W.Backward(delta)
-	if lr != 0 {
-		l.W.Update(-lr, delta, l.x)
-	}
+	l.update(delta, lr)
 	if l.Bias {
 		return dxExt[:l.In]
 	}
 	return dxExt
+}
+
+// Learn is Backward for a caller that discards dL/dx: the backward cycle
+// runs through SkipBackward, so storage that can skip the transposed MVM
+// does, with every other effect (update, op counts, random streams) the
+// same as Backward's.
+func (l *DenseLayer) Learn(dy tensor.Vector, lr float64) {
+	delta := l.delta(dy)
+	SkipBackward(l.W, delta)
+	l.update(delta, lr)
+}
+
+// delta is dL/dz from dL/dy and the cached forward pass.
+func (l *DenseLayer) delta(dy tensor.Vector) tensor.Vector {
+	if l.x == nil {
+		panic("nn: Backward called before Forward")
+	}
+	return tensor.Hadamard(dy, l.Act.prime(l.z, l.y))
+}
+
+// update applies W += -lr·(δ ⊗ x); lr == 0 skips it.
+func (l *DenseLayer) update(delta tensor.Vector, lr float64) {
+	if lr != 0 {
+		l.W.Update(-lr, delta, l.x)
+	}
 }
 
 // MLP is a feedforward stack of dense layers.
@@ -149,6 +168,16 @@ func (m *MLP) Backward(dy tensor.Vector, lr float64) tensor.Vector {
 	return dy
 }
 
+// Learn is Backward for a caller that discards dL/dx_in: every layer
+// updates exactly as under Backward, but the bottom layer's backward cycle
+// goes through SkipBackward, since no layer below reads its result.
+func (m *MLP) Learn(dy tensor.Vector, lr float64) {
+	for i := len(m.Layers) - 1; i > 0; i-- {
+		dy = m.Layers[i].Backward(dy, lr)
+	}
+	m.Layers[0].Learn(dy, lr)
+}
+
 // TrainStep performs one softmax-cross-entropy SGD step on (x, label) and
 // returns the loss before the update. The final layer must use SoftmaxAct.
 func (m *MLP) TrainStep(x tensor.Vector, label int, lr float64) float64 {
@@ -157,7 +186,7 @@ func (m *MLP) TrainStep(x tensor.Vector, label int, lr float64) float64 {
 	// d(CE∘softmax)/dz = p - onehot; the softmax layer's prime is identity.
 	dy := probs.Clone()
 	dy[label] -= 1
-	m.Backward(dy, lr)
+	m.Learn(dy, lr)
 	return loss
 }
 

@@ -62,6 +62,30 @@ func opOrderPinned(m Mat) bool {
 	return ok && p.OpOrderPinned()
 }
 
+// BackwardSkipper is an optional Mat extension: storage that can run a
+// backward cycle whose result the caller throws away without computing the
+// transposed MVM. SkipBackward(d) must leave every observable state —
+// weights, random-stream positions, op counters, fault-hook op streams,
+// shape panics — exactly as Backward(d) would; it may drop only the work
+// that produces the discarded vector. Networks use it for the bottom layer,
+// whose input gradient has no layer below to read it (Gokmen & Vlasov never
+// run that cycle for the first layer).
+type BackwardSkipper interface {
+	Mat
+	SkipBackward(d tensor.Vector)
+}
+
+// SkipBackward runs m's backward cycle on d for its side effects only,
+// through the Mat's SkipBackward when it has one and falling back to a
+// Backward call whose result is dropped otherwise.
+func SkipBackward(m Mat, d tensor.Vector) {
+	if s, ok := m.(BackwardSkipper); ok {
+		s.SkipBackward(d)
+		return
+	}
+	m.Backward(d)
+}
+
 // ForwardBatch computes one forward MVM per input, through the Mat's
 // batched path when it has one and falling back to sequential Forward calls
 // otherwise. Either way the results are bit-identical to the sequential
@@ -99,6 +123,14 @@ func (d *DenseMat) Forward(x tensor.Vector) tensor.Vector { return par.MatVec(d.
 
 // Backward implements Mat via the tiled transposed kernel.
 func (d *DenseMat) Backward(dd tensor.Vector) tensor.Vector { return par.MatVecT(d.M, dd) }
+
+// SkipBackward implements BackwardSkipper: Backward has no side effects, so
+// only its shape check remains.
+func (d *DenseMat) SkipBackward(dd tensor.Vector) {
+	if len(dd) != d.M.Rows {
+		panic(fmt.Sprintf("nn: Backward expects %d inputs, got %d", d.M.Rows, len(dd)))
+	}
+}
 
 // Update implements Mat.
 func (d *DenseMat) Update(scale float64, u, v tensor.Vector) { d.M.AddOuter(scale, u, v) }

@@ -122,7 +122,7 @@ func (m *Model) TrainStep(s dataset.ClickSample, lr float64) float64 {
 	dInter := m.Top.Backward(tensor.Vector{dp}, lr)
 
 	denseLen := m.Cfg.BottomMLP[len(m.Cfg.BottomMLP)-1]
-	m.Bottom.Backward(dInter[:denseLen], lr)
+	m.Bottom.Learn(dInter[:denseLen], lr)
 	off := denseLen
 	for ti, t := range m.Tables {
 		t.ApplyGrad(s.Sparse[ti], dInter[off:off+m.Cfg.EmbDim], lr)
