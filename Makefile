@@ -104,8 +104,9 @@ determinism:
 	$(GO) run ./cmd/bench-report -quick -workers 4 > /tmp/bench.w4.txt
 	cmp /tmp/bench.w1.txt /tmp/bench.w4.txt
 
-# Golden outputs: the quick campaign, experiment and kernel-checksum outputs
-# (and the serve campaign's stable metric and trace dumps) must stay
+# Golden outputs: the quick campaign outputs (R1 fault, R2 serve, R3 train,
+# R6 cluster), every quick experiment of repro-all, the kernel checksums, and
+# the campaigns' stable metric and trace dumps must stay
 # byte-identical to the committed files under testdata/golden, so a change
 # that claims to keep behaviour the same is checked, not only claimed. A
 # change that moves them on purpose regenerates the files with
@@ -113,7 +114,9 @@ determinism:
 GOLDEN = testdata/golden
 GOLDEN_OUT ?= /tmp/golden
 GOLDEN_FILES = bench-report.txt train-campaign.txt serve-campaign.txt \
-	serve-campaign.metrics serve-campaign.traces repro-all.txt
+	serve-campaign.metrics serve-campaign.traces repro-all.txt \
+	fault-campaign.txt fault-campaign.metrics \
+	cluster-campaign.txt cluster-campaign.metrics
 golden:
 	mkdir -p $(GOLDEN_OUT)
 	$(GO) run ./cmd/bench-report -quick > $(GOLDEN_OUT)/bench-report.txt
@@ -121,7 +124,11 @@ golden:
 	$(GO) run ./cmd/serve-campaign -quick \
 		-metrics-out $(GOLDEN_OUT)/serve-campaign.metrics \
 		-trace-out $(GOLDEN_OUT)/serve-campaign.traces > $(GOLDEN_OUT)/serve-campaign.txt
-	$(GO) run ./cmd/repro-all -quick -only F1,F2,C7,T1,C5,C6,T2 > $(GOLDEN_OUT)/repro-all.txt
+	$(GO) run ./cmd/repro-all -quick > $(GOLDEN_OUT)/repro-all.txt
+	$(GO) run ./cmd/fault-campaign -quick \
+		-metrics-out $(GOLDEN_OUT)/fault-campaign.metrics > $(GOLDEN_OUT)/fault-campaign.txt
+	$(GO) run ./cmd/cluster-campaign -quick \
+		-metrics-out $(GOLDEN_OUT)/cluster-campaign.metrics > $(GOLDEN_OUT)/cluster-campaign.txt
 	for f in $(GOLDEN_FILES); do cmp $(GOLDEN)/$$f $(GOLDEN_OUT)/$$f || exit 1; done
 
 # Observability smoke: boot the campaign with the HTTP endpoint up and probe
