@@ -132,12 +132,12 @@ func TestWeightBoundsInvariant(t *testing.T) {
 	f := func(seed int64, nUp, nDown uint8) bool {
 		for _, m := range models {
 			rng := rngutil.New(uint64(seed))
-			d := m.New(rng)
+			d := m.newCells(1, rng)
 			pr := rng.Child("p")
-			d.Pulse(int(nUp), true, pr)
-			d.Pulse(int(nDown), false, pr)
+			d.pulse(0, int(nUp), true, pr)
+			d.pulse(0, int(nDown), false, pr)
 			lo, hi := m.WeightBounds()
-			w := d.Weight()
+			w := d.w[0]
 			if w < lo-1e-9 || w > hi+1e-9 {
 				return false
 			}
@@ -302,73 +302,73 @@ func TestMeasureAsymmetry(t *testing.T) {
 
 func TestPCMUnidirectionalPair(t *testing.T) {
 	rng := rngutil.New(19)
-	d := PCM().New(rng).(*pcmPair)
+	d := PCM().newCells(1, rng)
 	pr := rng.Child("p")
-	w0 := d.Weight()
-	d.Pulse(50, true, pr)
-	if d.Weight() <= w0 {
+	w0 := d.w[0]
+	d.pulse(0, 50, true, pr)
+	if d.w[0] <= w0 {
 		t.Fatal("up pulses must raise weight")
 	}
-	gpBefore := d.gp
-	d.Pulse(50, false, pr)
+	gpBefore := d.gp[0]
+	d.pulse(0, 50, false, pr)
 	// Depression must not reduce G⁺ (unidirectional): it raises G⁻ instead.
-	if d.gp != gpBefore {
+	if d.gp[0] != gpBefore {
 		t.Fatal("depression must not touch the positive leg")
 	}
-	if d.gn <= 0.25 {
+	if d.gn[0] <= 0.25 {
 		t.Fatal("depression must raise the negative leg")
 	}
 }
 
 func TestPCMResetPreservesWeight(t *testing.T) {
 	rng := rngutil.New(23)
-	d := PCM().New(rng).(*pcmPair)
+	d := PCM().newCells(1, rng)
 	pr := rng.Child("p")
-	d.Pulse(100, true, pr)
-	d.Pulse(60, false, pr)
-	w := d.Weight()
-	sat := d.Saturation()
-	d.Reset()
-	if math.Abs(d.Weight()-w) > 1e-12 {
-		t.Fatalf("reset changed weight: %v -> %v", w, d.Weight())
+	d.pulse(0, 100, true, pr)
+	d.pulse(0, 60, false, pr)
+	w := d.w[0]
+	sat := d.maxSaturationPCM()
+	d.resetPCM([]bool{false})
+	if math.Abs(d.w[0]-w) > 1e-12 {
+		t.Fatalf("reset changed weight: %v -> %v", w, d.w[0])
 	}
-	if d.Saturation() >= sat {
+	if d.maxSaturationPCM() >= sat {
 		t.Fatal("reset should restore headroom")
 	}
 }
 
 func TestPCMSaturationBlocksUpdatesWithoutReset(t *testing.T) {
 	rng := rngutil.New(29)
-	d := PCM().New(rng).(*pcmPair)
+	d := PCM().newCells(1, rng)
 	pr := rng.Child("p")
 	// Alternate heavily: both legs saturate, weight stops responding.
 	for i := 0; i < 3000; i++ {
-		d.Pulse(1, true, pr)
-		d.Pulse(1, false, pr)
+		d.pulse(0, 1, true, pr)
+		d.pulse(0, 1, false, pr)
 	}
-	w := d.Weight()
-	d.Pulse(20, true, pr)
-	moved := math.Abs(d.Weight() - w)
+	w := d.w[0]
+	d.pulse(0, 20, true, pr)
+	moved := math.Abs(d.w[0] - w)
 	if moved > 0.01 {
 		t.Fatalf("saturated pair still moves by %v; expected blocked updates", moved)
 	}
-	if d.Saturation() < 0.9 {
-		t.Fatalf("expected near-saturated legs, got %v", d.Saturation())
+	if d.maxSaturationPCM() < 0.9 {
+		t.Fatalf("expected near-saturated legs, got %v", d.maxSaturationPCM())
 	}
 }
 
 func TestPCMDriftAndProjection(t *testing.T) {
 	rng := rngutil.New(31)
-	plain := PCM().New(rng.Child("a")).(*pcmPair)
-	proj := PCMProjected().New(rng.Child("b")).(*pcmPair)
+	plain := PCM().newCells(1, rng.Child("a"))
+	proj := PCMProjected().newCells(1, rng.Child("b"))
 	pr := rng.Child("p")
-	plain.Pulse(200, true, pr)
-	proj.Pulse(200, true, pr)
-	wPlain, wProj := plain.Weight(), proj.Weight()
-	plain.Drift(1e6)
-	proj.Drift(1e6)
-	dropPlain := (wPlain - plain.Weight()) / wPlain
-	dropProj := (wProj - proj.Weight()) / wProj
+	plain.pulse(0, 200, true, pr)
+	proj.pulse(0, 200, true, pr)
+	wPlain, wProj := plain.w[0], proj.w[0]
+	plain.drift(1e6, []bool{false})
+	proj.drift(1e6, []bool{false})
+	dropPlain := (wPlain - plain.w[0]) / wPlain
+	dropProj := (wProj - proj.w[0]) / wProj
 	if dropPlain <= 0 {
 		t.Fatal("PCM should drift down")
 	}
@@ -381,15 +381,15 @@ func TestFeFETEnduranceFreeze(t *testing.T) {
 	m := FeFET()
 	m.P.Endurance = 100
 	rng := rngutil.New(37)
-	d := m.New(rng).(*fefetDevice)
+	d := m.newCells(1, rng)
 	pr := rng.Child("p")
-	d.Pulse(100, true, pr)
-	if !d.WornOut() {
+	d.pulse(0, 100, true, pr)
+	if d.wear[0] < m.P.Endurance {
 		t.Fatal("device should be worn out after endurance pulses")
 	}
-	w := d.Weight()
-	d.Pulse(50, true, pr)
-	if d.Weight() != w {
+	w := d.w[0]
+	d.pulse(0, 50, true, pr)
+	if d.w[0] != w {
 		t.Fatal("worn-out device must not move")
 	}
 }
@@ -402,12 +402,12 @@ func TestECRAMSymmetryAndRelaxation(t *testing.T) {
 		t.Fatalf("ECRAM asym %v should beat RRAM %v", ecramAsym, rramAsym)
 	}
 	rng := rngutil.New(41)
-	d := ECRAM().New(rng).(*ecramDevice)
+	d := ECRAM().newCells(1, rng)
 	pr := rng.Child("p")
-	d.Pulse(300, true, pr)
-	w := d.Weight()
-	d.Drift(7200) // two relaxation time constants
-	if math.Abs(d.Weight()) >= math.Abs(w) {
+	d.pulse(0, 300, true, pr)
+	w := d.w[0]
+	d.drift(7200, []bool{false}) // two relaxation time constants
+	if math.Abs(d.w[0]) >= math.Abs(w) {
 		t.Fatal("ECRAM open-circuit relaxation should decay toward rest")
 	}
 }

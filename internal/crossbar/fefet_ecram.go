@@ -47,34 +47,28 @@ func (m *FeFETModel) MeanStep() float64 {
 // WeightBounds implements Model.
 func (m *FeFETModel) WeightBounds() (float64, float64) { return m.P.Soft.WMin, m.P.Soft.WMax }
 
-// New implements Model.
-func (m *FeFETModel) New(rng *rngutil.Source) Device {
-	inner := (&SoftBoundsModel{P: m.P.Soft}).New(rng).(*softBoundsDevice)
-	return &fefetDevice{soft: inner, endurance: m.P.Endurance}
+// newCells builds soft-bounds cells with a wear counter each.
+func (m *FeFETModel) newCells(n int, rng *rngutil.Source) cells {
+	c := newSoftBoundsCells("fefet", m.P.Soft, n, rng)
+	c.wear = make([]int64, n)
+	c.endurance = m.P.Endurance
+	return c
 }
 
-type fefetDevice struct {
-	soft      *softBoundsDevice
-	pulses    int64
-	endurance int64
-}
-
-func (d *fefetDevice) Weight() float64 { return d.soft.Weight() }
-
-func (d *fefetDevice) Pulse(n int, up bool, rng *rngutil.Source) {
-	if d.pulses >= d.endurance {
-		return // worn out: stuck at current state
+// wearOut charges n pulses against cell i's endurance and returns how many
+// of them land: none once the cell is worn out, which leaves it stuck at
+// its current state.
+func (c *cells) wearOut(i, n int) int {
+	if c.wear[i] >= c.endurance {
+		return 0
 	}
-	remaining := d.endurance - d.pulses
+	remaining := c.endurance - c.wear[i]
 	if int64(n) > remaining {
 		n = int(remaining)
 	}
-	d.pulses += int64(n)
-	d.soft.Pulse(n, up, rng)
+	c.wear[i] += int64(n)
+	return n
 }
-
-// WornOut reports whether the device has exhausted its endurance.
-func (d *fefetDevice) WornOut() bool { return d.pulses >= d.endurance }
 
 // ECRAMParams parameterizes an electrochemical RAM device (§II-B.4): the
 // intrinsically analog, battery-like synapse with highly symmetric, nearly
@@ -120,26 +114,20 @@ func (m *ECRAMModel) WeightBounds() (float64, float64) {
 	return m.P.Linear.WMin, m.P.Linear.WMax
 }
 
-// New implements Model.
-func (m *ECRAMModel) New(rng *rngutil.Source) Device {
-	inner := (&LinearStepModel{P: m.P.Linear}).New(rng).(*linearStepDevice)
-	return &ecramDevice{lin: inner, p: m.P}
+// newCells builds linear-step cells that relax toward the rest level.
+func (m *ECRAMModel) newCells(n int, rng *rngutil.Source) cells {
+	c := newLinearCells("ecram", m.P.Linear, n, rng)
+	c.restLevel, c.tauRelax = m.P.RestLevel, m.P.TauRelax
+	return c
 }
 
-type ecramDevice struct {
-	lin *linearStepDevice
-	p   ECRAMParams
-}
-
-func (d *ecramDevice) Weight() float64 { return d.lin.Weight() }
-
-func (d *ecramDevice) Pulse(n int, up bool, rng *rngutil.Source) { d.lin.Pulse(n, up, rng) }
-
-// Drift implements Drifter: exponential relaxation toward the rest level.
-func (d *ecramDevice) Drift(dt float64) {
-	if d.p.TauRelax <= 0 {
-		return
+// relaxECRAM applies exponential open-circuit relaxation toward the rest
+// level to every cell not marked stuck.
+func (c *cells) relaxECRAM(dt float64, stuck []bool) {
+	f := math.Exp(-dt / c.tauRelax)
+	for i := range c.w {
+		if !stuck[i] {
+			c.w[i] = c.restLevel + (c.w[i]-c.restLevel)*f
+		}
 	}
-	f := math.Exp(-dt / d.p.TauRelax)
-	d.lin.w = d.p.RestLevel + (d.lin.w-d.p.RestLevel)*f
 }

@@ -97,36 +97,36 @@ func (a *Array) FaultHook() FaultHook { return a.hook }
 // devices ignore all subsequent pulses but keep contributing their last
 // weight to MVMs.
 func (a *Array) Freeze(i, j int) {
-	idx := i*a.cols + j
-	if !a.stuck[idx] {
-		a.stuck[idx] = true
-		a.stuckCount++
-	}
+	a.markStuck(a.index("Freeze", i, j))
 }
 
 // FreezeAt freezes device (i, j) at weight w (clipped to the model bounds)
 // — the corrupt-device failure mode, where the post-failure conductance is
 // unrelated to the stored weight.
 func (a *Array) FreezeAt(i, j int, w float64) {
+	idx := a.index("FreezeAt", i, j)
 	lo, hi := a.model.WeightBounds()
 	if w < lo {
 		w = lo
 	} else if w > hi {
 		w = hi
 	}
-	idx := i*a.cols + j
+	a.markStuck(idx)
+	a.cells.freezeAt(idx, w)
+}
+
+func (a *Array) markStuck(idx int) {
 	if !a.stuck[idx] {
 		a.stuck[idx] = true
 		a.stuckCount++
 	}
-	a.w.Data[idx] = w
 }
 
 // IsStuck reports whether device (i, j) is non-yielding (from fabrication
 // or a run-time failure).
-func (a *Array) IsStuck(i, j int) bool { return a.stuck[i*a.cols+j] }
+func (a *Array) IsStuck(i, j int) bool { return a.stuck[a.index("IsStuck", i, j)] }
 
 // DeviceWeight returns the effective weight of device (i, j) as seen by
 // MVMs (for stuck corrupt devices this is the frozen value, not the
 // underlying device state).
-func (a *Array) DeviceWeight(i, j int) float64 { return a.w.Data[i*a.cols+j] }
+func (a *Array) DeviceWeight(i, j int) float64 { return a.w.Data[a.index("DeviceWeight", i, j)] }

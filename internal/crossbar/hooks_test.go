@@ -2,6 +2,8 @@ package crossbar
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -185,4 +187,39 @@ func TestArraySingleWriterGuard(t *testing.T) {
 		}
 	}()
 	a.Forward(tensor.Vector{1, 0})
+}
+
+// TestCellAccessorsCheckIndices pins that every (i, j) accessor panics on
+// an index outside the array instead of silently addressing another cell
+// (Freeze(0, cols) used to freeze cell (1, 0)), and mutates nothing.
+func TestCellAccessorsCheckIndices(t *testing.T) {
+	ops := map[string]func(a *Array, i, j int){
+		"Freeze":            func(a *Array, i, j int) { a.Freeze(i, j) },
+		"FreezeAt":          func(a *Array, i, j int) { a.FreezeAt(i, j, 0.5) },
+		"IsStuck":           func(a *Array, i, j int) { a.IsStuck(i, j) },
+		"DeviceWeight":      func(a *Array, i, j int) { a.DeviceWeight(i, j) },
+		"UpdateDeviceExact": func(a *Array, i, j int) { a.UpdateDeviceExact(i, j, 1, true) },
+		"ProgramDevice":     func(a *Array, i, j int) { a.ProgramDevice(i, j, 0.5, 10) },
+	}
+	for name, op := range ops {
+		for _, ij := range [][2]int{{-1, 0}, {0, -1}, {3, 0}, {0, 4}, {0, 12}} {
+			a := NewArray(3, 4, Ideal(), DefaultConfig(), rngutil.New(1))
+			before := a.ExportState()
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s(%d, %d) on a 3×4 array did not panic", name, ij[0], ij[1])
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, name+" index") {
+						t.Fatalf("%s(%d, %d) panicked with %q", name, ij[0], ij[1], msg)
+					}
+				}()
+				op(a, ij[0], ij[1])
+			}()
+			if got := a.ExportState(); !reflect.DeepEqual(before, got) {
+				t.Fatalf("%s(%d, %d) mutated the array before panicking", name, ij[0], ij[1])
+			}
+		}
+	}
 }

@@ -82,7 +82,7 @@ func (a *Array) ProgramVerify(target *tensor.Matrix, pol ProgramPolicy) ProgramR
 	for round := 0; ; round++ {
 		rep.Rounds++
 		progressed := false
-		for idx := range a.dev {
+		for idx := range a.stuck {
 			if a.stuck[idx] {
 				continue
 			}
@@ -103,7 +103,7 @@ func (a *Array) ProgramVerify(target *tensor.Matrix, pol ProgramPolicy) ProgramR
 	}
 	var sum float64
 	n := 0
-	for idx := range a.dev {
+	for idx := range a.stuck {
 		if a.stuck[idx] {
 			rep.Stuck++
 			continue
@@ -126,7 +126,7 @@ func (a *Array) ProgramVerify(target *tensor.Matrix, pol ProgramPolicy) ProgramR
 
 func (a *Array) worstYieldingErr(target *tensor.Matrix) float64 {
 	worst := 0.0
-	for idx := range a.dev {
+	for idx := range a.stuck {
 		if a.stuck[idx] {
 			continue
 		}

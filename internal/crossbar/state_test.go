@@ -117,6 +117,36 @@ func TestImportStateRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestImportStateRejectsMirrorDisagreement pins, per model, that a state
+// whose mirror shows a yielding device at a weight other than the one its
+// device state encodes is rejected before any mutation: such a state would
+// make Update and UpdateReference diverge. The same disagreement on a stuck
+// device is a corrupt-frozen value, which must be accepted and round-trip.
+func TestImportStateRejectsMirrorDisagreement(t *testing.T) {
+	for _, m := range allModels() {
+		t.Run(m.Name(), func(t *testing.T) {
+			a := NewArray(8, 8, m, DefaultConfig(), rngutil.New(5))
+			st := a.ExportState()
+			st.Mirror[5] += 0.5
+			b := NewArray(8, 8, m, DefaultConfig(), rngutil.New(6))
+			before := b.ExportState()
+			if err := b.ImportState(st); err == nil {
+				t.Fatal("a yielding device's mirror that disagrees with its state must be rejected")
+			}
+			if got := b.ExportState(); !reflect.DeepEqual(before, got) {
+				t.Fatal("rejected import mutated the array")
+			}
+			st.Stuck[5] = true
+			if err := b.ImportState(st); err != nil {
+				t.Fatalf("corrupt-frozen stuck device rejected: %v", err)
+			}
+			if got := b.ExportState(); !reflect.DeepEqual(st, got) {
+				t.Fatal("corrupt-frozen stuck device did not round-trip")
+			}
+		})
+	}
+}
+
 // TestSnapshotDuringForwardReads is the satellite -race test: a checkpoint
 // snapshot taken concurrently with forward reads, serialized by the same
 // caller-side mutex serving uses (the busy guard turns an unserialized

@@ -8,17 +8,17 @@ import "repro/internal/rngutil"
 // every pulse. The returned trace has cycles·(nUp+nDown) points.
 func PulseResponse(model Model, cycles, nUp, nDown int, seed uint64) []float64 {
 	rng := rngutil.New(seed)
-	d := model.New(rng.Child("device"))
+	d := model.newCells(1, rng.Child("device"))
 	pr := rng.Child("pulses")
 	trace := make([]float64, 0, cycles*(nUp+nDown))
 	for c := 0; c < cycles; c++ {
 		for p := 0; p < nUp; p++ {
-			d.Pulse(1, true, pr)
-			trace = append(trace, d.Weight())
+			d.pulse(0, 1, true, pr)
+			trace = append(trace, d.w[0])
 		}
 		for p := 0; p < nDown; p++ {
-			d.Pulse(1, false, pr)
-			trace = append(trace, d.Weight())
+			d.pulse(0, 1, false, pr)
+			trace = append(trace, d.w[0])
 		}
 	}
 	return trace
@@ -29,13 +29,13 @@ func PulseResponse(model Model, cycles, nUp, nDown int, seed uint64) []float64 {
 // empirical symmetry point exploited by zero-shifting (§II-B.5).
 func FindSymmetryPoint(model Model, iters int, seed uint64) float64 {
 	rng := rngutil.New(seed)
-	d := model.New(rng.Child("device"))
+	d := model.newCells(1, rng.Child("device"))
 	pr := rng.Child("pulses")
 	for i := 0; i < iters; i++ {
-		d.Pulse(1, true, pr)
-		d.Pulse(1, false, pr)
+		d.pulse(0, 1, true, pr)
+		d.pulse(0, 1, false, pr)
 	}
-	return d.Weight()
+	return d.w[0]
 }
 
 // MeasureAsymmetry empirically estimates the up/down step imbalance of a
@@ -45,14 +45,14 @@ func MeasureAsymmetry(model Model, trials int, seed uint64) float64 {
 	rng := rngutil.New(seed)
 	var num, den float64
 	for t := 0; t < trials; t++ {
-		d := model.New(rng.Child("device"))
+		d := model.newCells(1, rng.Child("device"))
 		pr := rng.Child("pulses")
-		w0 := d.Weight()
-		d.Pulse(1, true, pr)
-		up := d.Weight() - w0
-		w1 := d.Weight()
-		d.Pulse(1, false, pr)
-		down := w1 - d.Weight()
+		w0 := d.w[0]
+		d.pulse(0, 1, true, pr)
+		up := d.w[0] - w0
+		w1 := d.w[0]
+		d.pulse(0, 1, false, pr)
+		down := w1 - d.w[0]
 		num += up - down
 		den += up + down
 	}
