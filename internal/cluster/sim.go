@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"math"
 	"strconv"
 
@@ -129,8 +128,6 @@ type node struct {
 }
 
 type simEvent struct {
-	t    float64
-	seq  int64
 	kind int
 	req  *cReq
 	att  *attempt
@@ -138,33 +135,13 @@ type simEvent struct {
 	nev  faults.NodeEvent
 }
 
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 type sim struct {
-	cfg   SimConfig
-	pol   Policy
-	nodes []*node
-	place [][]int // shard → placement node IDs, best first
-	h     eventHeap
-	seq   int64
-	rr    int
+	cfg    SimConfig
+	pol    Policy
+	nodes  []*node
+	place  [][]int // shard → placement node IDs, best first
+	events serve.EventQueue[simEvent]
+	rr     int
 
 	gen     *trafficGen
 	buckets []*tokenBucket
@@ -237,31 +214,31 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		s.push(ev.T, evScenario, nil, nil, 0, ev)
 	}
 
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(*simEvent)
+	for s.events.Len() > 0 {
+		t, e := s.events.Pop()
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.t)
+			s.onArrival(t)
 		case evClientArrival:
-			s.onClientArrival(e.t, e.node, int(e.nev.T)) // node=tenant, nev.T=client (see pushClient)
+			s.onClientArrival(t, e.node, int(e.nev.T)) // node=tenant, nev.T=client (see pushClient)
 		case evReqAtNode:
-			s.onReqAtNode(e.t, e.att)
+			s.onReqAtNode(t, e.att)
 		case evNodeDone:
-			s.onNodeDone(e.t, e.att)
+			s.onNodeDone(t, e.att)
 		case evReplyAtRouter:
-			s.onReply(e.t, e.att)
+			s.onReply(t, e.att)
 		case evRetry:
-			s.onRetry(e.t, e.req, e.node)
+			s.onRetry(t, e.req, e.node)
 		case evHedge:
-			s.onHedge(e.t, e.req)
+			s.onHedge(t, e.req)
 		case evDeadline:
-			s.onDeadline(e.t, e.req)
+			s.onDeadline(t, e.req)
 		case evHeartbeat:
-			s.onHeartbeat(e.t, e.node)
+			s.onHeartbeat(t, e.node)
 		case evVersionBump:
-			s.onVersionBump(e.t)
+			s.onVersionBump(t)
 		case evScenario:
-			s.onScenario(e.t, e.nev)
+			s.onScenario(t, e.nev)
 		}
 	}
 	s.exportObs()
@@ -269,8 +246,7 @@ func RunClusterSim(cfg SimConfig) Metrics {
 }
 
 func (s *sim) push(t float64, kind int, req *cReq, att *attempt, node int, nev faults.NodeEvent) {
-	s.seq++
-	heap.Push(&s.h, &simEvent{t: t, seq: s.seq, kind: kind, req: req, att: att, node: node, nev: nev})
+	s.events.Push(t, simEvent{kind: kind, req: req, att: att, node: node, nev: nev})
 }
 
 // pushClient encodes a closed-loop (tenant, client) pair into the generic

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/obs"
@@ -71,10 +70,6 @@ func DefaultLatencyModel() LatencyModel {
 // internal/cluster, which prices node-local service time with the same
 // distribution.
 func (m LatencyModel) AttemptDuration(rng *rngutil.Source, verify bool) float64 {
-	return m.attempt(rng, verify)
-}
-
-func (m LatencyModel) attempt(rng *rngutil.Source, verify bool) float64 {
 	d := m.Base * math.Exp(rng.Normal(0, m.Jitter))
 	if m.TailProb > 0 && rng.Bernoulli(m.TailProb) {
 		d *= m.TailMult
@@ -139,31 +134,10 @@ const (
 )
 
 type simEvent struct {
-	t    float64
-	seq  int64
 	kind int
 	req  *simReq
 	rep  *simReplica
 	att  *simAttempt
-}
-
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 type simReq struct {
@@ -200,17 +174,16 @@ type simReplica struct {
 // Policy/Health/Pipeline machinery. Single-threaded, heap-ordered by
 // (time, seq): bit-identical tables at a fixed seed.
 type sim struct {
-	cfg   SimConfig
-	reps  []*simReplica
-	queue []*simReq
-	h     eventHeap
-	seq   int64
-	rr    int
-	arrRN *rngutil.Source
-	latRN *rngutil.Source
-	next  int // next request-stream index
-	m     Metrics
-	peakQ int // queue-depth high-water mark
+	cfg    SimConfig
+	reps   []*simReplica
+	queue  []*simReq
+	events EventQueue[simEvent]
+	rr     int
+	arrRN  *rngutil.Source
+	latRN  *rngutil.Source
+	next   int // next request-stream index
+	m      Metrics
+	peakQ  int // queue-depth high-water mark
 }
 
 // RunSim drives one policy arm over the replica pool and returns its
@@ -240,21 +213,21 @@ func RunSim(cfg SimConfig, replicas []*Replica) Metrics {
 			s.push(offset, evCanary, nil, r, nil)
 		}
 	}
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(*simEvent)
+	for s.events.Len() > 0 {
+		t, e := s.events.Pop()
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.t)
+			s.onArrival(t)
 		case evDone:
-			s.onDone(e.t, e.att)
+			s.onDone(t, e.att)
 		case evHedge:
-			s.onHedge(e.t, e.req, e.rep)
+			s.onHedge(t, e.req, e.rep)
 		case evRetry:
-			s.onRetry(e.t, e.req)
+			s.onRetry(t, e.req)
 		case evCanary:
-			s.onCanary(e.t, e.rep)
+			s.onCanary(t, e.rep)
 		case evRecalDone:
-			s.onRecalDone(e.t, e.rep)
+			s.onRecalDone(t, e.rep)
 		}
 	}
 	// Anything still queued when the event stream ran dry can never be
@@ -312,8 +285,7 @@ func (s *sim) exportObs() {
 }
 
 func (s *sim) push(t float64, kind int, req *simReq, rep *simReplica, att *simAttempt) {
-	s.seq++
-	heap.Push(&s.h, &simEvent{t: t, seq: s.seq, kind: kind, req: req, rep: rep, att: att})
+	s.events.Push(t, simEvent{kind: kind, req: req, rep: rep, att: att})
 }
 
 func (s *sim) nextArrival(now float64) float64 {
@@ -426,7 +398,7 @@ func (s *sim) dispatch(t float64, req *simReq, rep *simReplica, isHedge bool) {
 		req.span.Stage("dispatch", t)
 	}
 	y, ok := rep.Infer(req.X, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.attempt(s.latRN, s.cfg.Policy.VerifyReads)
+	dur := s.cfg.Lat.AttemptDuration(s.latRN, s.cfg.Policy.VerifyReads)
 	rep.freeAt = t + dur
 	att := &simAttempt{req: req, rep: rep, dur: dur, correct: y.ArgMax() == req.Want, ok: ok,
 		span: req.span.Child(attName, t)}
@@ -581,7 +553,7 @@ func (s *sim) dispatchBatch(t float64, batch []*simReq, rep *simReplica) {
 		xs[i] = req.X
 	}
 	ys, oks := rep.InferBatch(xs, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.attempt(s.latRN, s.cfg.Policy.VerifyReads)
+	dur := s.cfg.Lat.AttemptDuration(s.latRN, s.cfg.Policy.VerifyReads)
 	dur *= 1 + s.cfg.Lat.BatchPerExtra*float64(len(batch)-1)
 	rep.freeAt = t + dur
 	for i, req := range batch {
