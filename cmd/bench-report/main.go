@@ -7,7 +7,7 @@
 // for the MVMs (one goroutine, one accumulator, ascending index order) and
 // the generic per-crosspoint update (Array.UpdateReference, one worker)
 // for the pulse updates. "Parallel" is the engine path the simulator runs
-// now (crossbar.Array ops at the requested -workers, specialized update
+// now (crossbar.Array ops at the requested -workers, noiseless-linear update
 // kernel, sample-blocked batched forward). Serial and parallel are
 // bit-identical in output; this report tracks only their speed.
 //
@@ -307,10 +307,10 @@ func run(workers int) Report {
 			}
 		})
 		// The update's serial twin is the generic per-crosspoint path
-		// (Array.UpdateReference — device interface dispatch for every
-		// coincidence) at one worker; the parallel side is the specialized
-		// engine kernel at the requested workers. Bit-identical outputs,
-		// and exactly the pairing the update speedup budget floors.
+		// (Array.UpdateReference — one per-cell pulse call per coincidence)
+		// at one worker; the parallel side is the noiseless-linear engine
+		// kernel at the requested workers. Bit-identical outputs, and
+		// exactly the pairing the update speedup budget floors.
 		var updS, updP Result
 		if n == 512 {
 			updS, updP, rep.SpeedupUpdate512 = measurePair(
