@@ -121,10 +121,65 @@ const (
 // minimum against a calm baseline minimum.
 const benchReps = 5
 
+// overhead, when set (-obs), pairs every timed benchmark: each rep runs
+// the closure with the tile engine's instruments detached and attached,
+// back to back and alternating which arm goes first, so both arms see the
+// same machine regime.
+var overhead *obsPair
+
+// obsPair keeps each arm's fastest ns/op by benchmark name.
+type obsPair struct {
+	reg     *obs.Registry
+	off, on map[string]float64
+	onFirst bool
+}
+
+// ErrObsOverhead is the instrumentation overhead bound.
+var ErrObsOverhead = errors.New("instrumentation overhead above bound")
+
+// timed runs one benchmark rep and returns its result; under -obs it runs
+// both arms and returns the instrumented one.
+func timed(name string, f func(b *testing.B)) testing.BenchmarkResult {
+	if overhead == nil {
+		return testing.Benchmark(f)
+	}
+	overhead.onFirst = !overhead.onFirst
+	var on testing.BenchmarkResult
+	for _, instrumented := range [2]bool{overhead.onFirst, !overhead.onFirst} {
+		reg, best := (*obs.Registry)(nil), overhead.off
+		if instrumented {
+			reg, best = overhead.reg, overhead.on
+		}
+		par.Instrument(reg)
+		r := testing.Benchmark(f)
+		if ns, old := float64(r.T.Nanoseconds())/float64(r.N), best[name]; old == 0 || ns < old {
+			best[name] = ns
+		}
+		if instrumented {
+			on = r
+		}
+	}
+	return on
+}
+
+// check returns one named error per benchmark whose instrumented minimum
+// exceeds its uninstrumented minimum by more than tol.
+func (p *obsPair) check(tol float64) []error {
+	var errs []error
+	for name, off := range p.off {
+		if ratio := p.on[name] / off; !(ratio <= 1+tol) {
+			errs = append(errs, fmt.Errorf("%w: %s instrumented/plain %.3f > %.3f",
+				ErrObsOverhead, name, ratio, 1+tol))
+		}
+	}
+	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
+	return errs
+}
+
 func measure(name string, f func(b *testing.B)) Result {
 	best := Result{Name: name}
 	for rep := 0; rep < benchReps; rep++ {
-		r := testing.Benchmark(f)
+		r := timed(name, f)
 		ns := float64(r.T.Nanoseconds()) / float64(r.N)
 		if rep == 0 || ns < best.NsPerOp {
 			best.NsPerOp = ns
@@ -146,8 +201,8 @@ func measurePair(nameS string, fS func(b *testing.B), nameP string, fP func(b *t
 	p := Result{Name: nameP}
 	ratios := make([]float64, 0, benchReps)
 	for rep := 0; rep < benchReps; rep++ {
-		rs := testing.Benchmark(fS)
-		rp := testing.Benchmark(fP)
+		rs := timed(nameS, fS)
+		rp := timed(nameP, fP)
 		nsS := float64(rs.T.Nanoseconds()) / float64(rs.N)
 		nsP := float64(rp.T.Nanoseconds()) / float64(rp.N)
 		if rep == 0 || nsS < s.NsPerOp {
@@ -176,8 +231,8 @@ func measurePairMin(reps int, nameS string, fS func(b *testing.B), nameP string,
 	s := Result{Name: nameS}
 	p := Result{Name: nameP}
 	for rep := 0; rep < reps; rep++ {
-		rs := testing.Benchmark(fS)
-		rp := testing.Benchmark(fP)
+		rs := timed(nameS, fS)
+		rp := timed(nameP, fP)
 		nsS := float64(rs.T.Nanoseconds()) / float64(rs.N)
 		nsP := float64(rp.T.Nanoseconds()) / float64(rp.N)
 		if rep == 0 || nsS < s.NsPerOp {
@@ -516,10 +571,10 @@ func main() {
 	workers := flag.Int("workers", 4, "tile-engine worker count for the parallel benchmarks")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark measuring time (testing -benchtime syntax)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against (empty = no gate)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed normalized regression before the gate fails")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed normalized regression before the gate fails (with -obs, also the bound on instrumented/plain)")
 	minSpeedup := flag.Float64("min-speedup", 0, "fail unless forward 512 speedup reaches this (0 = no gate)")
 	budgets := flag.Bool("budgets", true, "enforce the absolute alloc and speedup budgets")
-	withObs := flag.Bool("obs", false, "attach the observability registry to the tile engine, measuring instrumented-path overhead")
+	withObs := flag.Bool("obs", false, "measure every benchmark with the tile engine's observability registry detached and attached, interleaved, and bound the overhead at -tolerance")
 	quick := flag.Bool("quick", false, "emit the deterministic kernel checksum table instead of timings")
 	tileSpan := flag.Int("tile-span", 0, "override the par.Plan tile span (0 = default)")
 	batchSpan := flag.Int("batch-span", 0, "override the par.Plan sample-block span (0 = default)")
@@ -538,9 +593,9 @@ func main() {
 	}
 
 	if *withObs {
-		// Measure the same kernels with metrics attached; gating this report
-		// against the committed baseline bounds the instrumentation overhead.
-		par.Instrument(obs.NewRegistry())
+		// Measure the same kernels with and without metrics attached, in
+		// interleaved reps; the report carries the instrumented numbers.
+		overhead = &obsPair{reg: obs.NewRegistry(), off: map[string]float64{}, on: map[string]float64{}}
 	}
 	rep := run(*workers)
 	rep.ObsEnabled = *withObs
@@ -561,6 +616,18 @@ func main() {
 		for _, err := range checkBudgets(rep) {
 			fmt.Fprintf(os.Stderr, "BUDGET %v\n", err)
 			failed = true
+		}
+	}
+	if overhead != nil {
+		errs := overhead.check(*tolerance)
+		for _, err := range errs {
+			fmt.Fprintf(os.Stderr, "OBS %v\n", err)
+		}
+		if len(errs) > 0 {
+			failed = true
+		} else {
+			fmt.Printf("instrumentation overhead within %.0f%% on all %d benchmarks (paired minima)\n",
+				*tolerance*100, len(overhead.off))
 		}
 	}
 	if *baseline != "" {

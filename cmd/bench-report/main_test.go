@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -167,5 +169,24 @@ func TestCheckBudgets(t *testing.T) {
 	errs = checkBudgets(slowServe)
 	if len(errs) != 1 || !errors.Is(errs[0], ErrSpeedupBudget) {
 		t.Fatalf("serve speedup violation: errs = %v, want one ErrSpeedupBudget", errs)
+	}
+}
+
+// TestObsPairCheck pins the paired overhead bound: a benchmark passes when
+// its instrumented minimum stays within tol of its plain minimum, and each
+// one beyond it is named.
+func TestObsPairCheck(t *testing.T) {
+	p := &obsPair{
+		off: map[string]float64{"a": 100, "b": 100, "c": 100},
+		on:  map[string]float64{"a": 104, "b": 106, "c": 90},
+	}
+	errs := p.check(0.05)
+	if len(errs) != 1 || !errors.Is(errs[0], ErrObsOverhead) || !strings.Contains(errs[0].Error(), " b ") {
+		t.Fatalf("check(0.05) = %v, want one ErrObsOverhead naming b", errs)
+	}
+	p.on["d"] = math.NaN()
+	p.off["d"] = 100
+	if errs := p.check(0.05); len(errs) != 2 {
+		t.Fatalf("a NaN ratio must fail the bound, got %v", errs)
 	}
 }

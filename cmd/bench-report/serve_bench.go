@@ -19,7 +19,7 @@ import (
 // differ only in Policy.BatchMax, so the ratio is what dynamic request
 // batching buys end to end — coalesced dispatch through the sample-blocked
 // MVM kernel versus one request per dispatch — with the real runtime
-// machinery (bounded queue, timed gather, worker pool, per-request result
+// machinery (bounded queue, gather timer, dispatch core, per-request result
 // channels) on both sides.
 //
 // The width is chosen to put the single-dispatch arm in the memory-bound
@@ -76,8 +76,7 @@ func serveWorkload() (*nn.MLP, []tensor.Vector) {
 	return net, xs
 }
 
-// benchServe runs the open-loop workload on one service worker (a second
-// worker only splits blocks — on one replica it adds no throughput); one op
+// benchServe runs the open-loop workload on one replica; one op
 // serves serveTotalReqs requests to completion. The queue holds every outstanding request
 // (QueueCap is sized so nothing sheds) and deadlines are far away, so both
 // arms answer all requests and the ratio is a pure throughput comparison.
@@ -106,9 +105,9 @@ func benchServe(bmax, workers int) func(b *testing.B) {
 		pol.Deadline = 1e6
 		pol.QueueCap = 2 * serveTotalReqs
 		pol.BatchMax = bmax
-		// The timed gather is what lets the first blocks form before the
-		// queue has filled; once it has, every gather fills from the buffer
-		// without touching the timer. The single-dispatch arm never gathers.
+		// The first request dispatches alone to the free replica; the rest
+		// queue behind it, and every block after fills from the queue. The
+		// gather timer only runs when a freed replica finds a short block.
 		pol.BatchWait = 1e-3
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -75,10 +75,12 @@ func TestPickRotationOverflow(t *testing.T) {
 	}
 	svc := NewService(pol, reps, nil, 1)
 	defer svc.Close()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
 	for _, seed := range []uint64{math.MaxUint64 - 2, math.MaxInt64 - 1, math.MaxInt64} {
-		svc.rr.Store(seed)
+		svc.core.rr = seed
 		for i := 0; i < 5; i++ {
-			r := svc.pick(nil)
+			r, _ := svc.core.pick(svc.now(), nil)
 			if r == nil {
 				t.Fatalf("pick returned nil from a healthy pool at rr seed %d", seed)
 			}
@@ -89,13 +91,20 @@ func TestPickRotationOverflow(t *testing.T) {
 	}
 }
 
+// queueLen reports how many requests sit in the service's admission queue.
+func queueLen(svc *Service) int {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return len(svc.core.queue)
+}
+
 // TestServiceBatchDropsExpiredFromBlock choreographs a mixed coalesced
-// block on the Manual clock: a plug request holds the single worker (and
-// the replica mutex) while five requests queue behind it with staggered
-// deadlines; by the time the worker gathers them, three have expired in
-// the queue. Those must be dropped from the block before dispatch —
-// counted expired, answered ErrDeadline, never served — while the two
-// still-live members are served through one coalesced dispatch.
+// block on the Manual clock: a plug request holds the single replica while
+// five requests queue behind it with staggered deadlines; by the time the
+// replica frees, three have expired in the queue. Those must be dropped
+// from the block before dispatch — counted expired, answered ErrDeadline,
+// never served — while the two still-live members are served through one
+// coalesced dispatch.
 func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 	pol := PolicyNone()
 	pol.Deadline = 10
@@ -123,8 +132,8 @@ func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 		}()
 	}
 
-	// The plug dispatches immediately (empty queue) and blocks inside its
-	// inference, holding both the worker and the replica mutex.
+	// The plug dispatches immediately (free replica) and blocks inside its
+	// inference, keeping the replica busy.
 	plugCh := make(chan error, 1)
 	do(plugCh)
 	select {
@@ -138,17 +147,17 @@ func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		do(staleCh)
 	}
-	waitUntil(t, func() bool { return len(svc.queue) == 3 })
+	waitUntil(t, func() bool { return queueLen(svc) == 3 })
 	// ... and two more at t=5 (deadline t=15).
 	clk.Advance(5 * time.Second)
 	liveCh := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		do(liveCh)
 	}
-	waitUntil(t, func() bool { return len(svc.queue) == 5 })
+	waitUntil(t, func() bool { return queueLen(svc) == 5 })
 
-	// t=11: the plug's deadline fires (it expires), the worker gathers the
-	// whole backlog, and the first three members are stale.
+	// t=11: the plug's deadline fires (it expires), and so do the first
+	// three queued members'.
 	clk.Advance(6 * time.Second)
 	select {
 	case err := <-plugCh:
@@ -158,7 +167,7 @@ func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("plug request never returned after its deadline fired")
 	}
-	close(release) // free the replica mutex for the batched dispatch
+	close(release) // the plug's late completion frees the replica for the block
 
 	for i := 0; i < 3; i++ {
 		select {
@@ -195,7 +204,7 @@ func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 }
 
 // TestServiceBatchWaitOnInjectedClock pins two properties of the gather
-// wait: it collects late arrivals into the block, and it runs on the
+// timer: it collects late arrivals into the block, and it runs on the
 // service clock — 30 virtual seconds of BatchWait must cost milliseconds
 // of wall time, not a real timer.
 func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
@@ -204,43 +213,51 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 	pol.BatchMax = 3
 	pol.BatchWait = 30 // lethal if this ever hits a wall-clock timer
 	vec := tensor.Vector{0, 1}
-	pipe := &stubPipe{infer: func() (tensor.Vector, bool) { return vec.Clone(), true }}
+	var calls atomic.Int32
+	release := make(chan struct{})
+	pipe := &stubPipe{infer: func() (tensor.Vector, bool) {
+		if calls.Add(1) == 1 {
+			<-release
+		}
+		return vec.Clone(), true
+	}}
 	svc := NewService(pol, []*Replica{NewReplica(0, pipe, pol)}, nil, 1)
 	defer svc.Close()
-	clk := &gatedClock{
-		Manual:  obs.NewManual(time.Unix(0, 0)),
-		entered: make(chan struct{}),
-		open:    make(chan struct{}),
-	}
-	openGate := sync.OnceFunc(func() { close(clk.open) })
-	defer openGate() // a failed wait must not leave the worker gated past Close
+	clk := obs.NewManual(time.Unix(0, 0))
 	svc.SetClock(clk)
 
 	t0 := time.Now()
-	resCh := make(chan error, 2)
+	resCh := make(chan error, 3)
 	do := func() {
 		go func() {
 			_, err := svc.Do(tensor.Vector{0})
 			resCh <- err
 		}()
 	}
-	// First arrival: the worker takes it alone and arms its gather wait,
-	// where the gate holds it. Second arrival lands mid-wait: with the
-	// worker held it provably sits in the queue, and once the gate opens
-	// the gathering worker (the only consumer) must drain it into the
-	// block before virtual time moves.
+	// A plug holds the only replica until its deadline has passed, while
+	// one request queues behind it.
 	do()
-	select {
-	case <-clk.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never armed its gather wait")
+	waitUntil(t, func() bool { return calls.Load() == 1 })
+	clk.Advance(5000 * time.Second)
+	do()
+	waitUntil(t, func() bool { return queueLen(svc) == 1 })
+	clk.Advance(5001 * time.Second)
+	if err := <-resCh; err != ErrDeadline {
+		t.Fatalf("plug request: err = %v, want ErrDeadline", err)
 	}
+	// The plug's late completion frees the replica facing a short block:
+	// the gather opens, and an arrival during it joins the block while
+	// virtual time stands still.
+	close(release)
+	waitUntil(t, func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.core.gather != nil
+	})
 	do()
-	waitUntil(t, func() bool { return len(svc.queue) == 1 })
-	openGate()
-	waitUntil(t, func() bool { return len(svc.queue) == 0 })
-	// Fire the wait: it was registered before the worker took the second
-	// arrival, so one advance past BatchWait dispatches the block.
+	waitUntil(t, func() bool { return queueLen(svc) == 2 })
+	// One advance past BatchWait fires the gather timer and dispatches the
+	// block.
 	clk.Advance(31 * time.Second)
 	for i := 0; i < 2; i++ {
 		select {
@@ -259,24 +276,6 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 	if c.Batches != 1 || c.Coalesced != 2 || c.Served != 2 {
 		t.Fatalf("Batches/Coalesced/Served = %d/%d/%d, want 1/2/2", c.Batches, c.Coalesced, c.Served)
 	}
-}
-
-// gatedClock is a Manual clock whose first After call — the worker arming
-// its gather wait — blocks until the test opens the gate, so the test can
-// queue an arrival while the worker provably holds a short block.
-type gatedClock struct {
-	*obs.Manual
-	once    sync.Once
-	entered chan struct{}
-	open    chan struct{}
-}
-
-func (c *gatedClock) After(d time.Duration) <-chan time.Time {
-	c.once.Do(func() {
-		close(c.entered)
-		<-c.open
-	})
-	return c.Manual.After(d)
 }
 
 // batchSimMetrics runs one saturating single-replica simulator arm (heavy

@@ -189,18 +189,7 @@ func MLPCampaign(cfg CampaignConfig) []ArmResult {
 				}
 				reps = append(reps, NewReplica(r, pipe, pol))
 			}
-			m := RunSim(SimConfig{
-				Policy:   pol,
-				Lat:      cfg.Lat,
-				Duration: cfg.Duration,
-				Rate:     cfg.Rate,
-				Requests: reqs,
-				Fallback: fallback,
-				RNG:      rngutil.New(cfg.Seed + 104729*uint64(li+1)),
-				Obs:      cfg.Obs,
-				Tracer:   cfg.Tracer,
-			}, reps)
-			results = append(results, ArmResult{Policy: pol.Name, Level: level, M: m})
+			results = append(results, cfg.runArm(pol, level, cfg.Seed+104729*uint64(li+1), reqs, fallback, reps))
 		}
 	}
 	return results
@@ -222,24 +211,23 @@ func XMannCampaign(cfg CampaignConfig) []ArmResult {
 		mem.Data[i] = mr.Float64()
 	}
 
+	randKey := func(r *rngutil.Source) tensor.Vector {
+		key := make(tensor.Vector, D)
+		for i := range key {
+			key[i] = r.Float64()
+		}
+		return key
+	}
 	kr := rng.Child("keys")
 	var reqs []SimRequest
 	for k := 0; k < keyCount; k++ {
-		key := make(tensor.Vector, D)
-		for i := range key {
-			key[i] = kr.Float64()
-		}
-		ref := xmann.ReferenceSimilarity(mem, key, xcfg.Beta)
-		reqs = append(reqs, SimRequest{X: key, Want: ref.ArgMax()})
+		key := randKey(kr)
+		reqs = append(reqs, SimRequest{X: key, Want: xmann.ReferenceSimilarity(mem, key, xcfg.Beta).ArgMax()})
 	}
-	canaryK := make([]tensor.Vector, 0, 8)
 	cr := rng.Child("canary")
+	var canaryK []tensor.Vector
 	for k := 0; k < 8; k++ {
-		key := make(tensor.Vector, D)
-		for i := range key {
-			key[i] = cr.Float64()
-		}
-		canaryK = append(canaryK, key)
+		canaryK = append(canaryK, randKey(cr))
 	}
 	fallback := func(k tensor.Vector) tensor.Vector {
 		return xmann.ReferenceSimilarity(mem, k, xcfg.Beta)
@@ -256,21 +244,21 @@ func XMannCampaign(cfg CampaignConfig) []ArmResult {
 					rngutil.New(cfg.Seed+211*uint64(r)+29))
 				reps = append(reps, NewReplica(r, pipe, pol))
 			}
-			m := RunSim(SimConfig{
-				Policy:   pol,
-				Lat:      cfg.Lat,
-				Duration: cfg.Duration,
-				Rate:     cfg.Rate,
-				Requests: reqs,
-				Fallback: fallback,
-				RNG:      rngutil.New(cfg.Seed + 130363*uint64(li+1)),
-				Obs:      cfg.Obs,
-				Tracer:   cfg.Tracer,
-			}, reps)
-			results = append(results, ArmResult{Policy: pol.Name, Level: level, M: m})
+			results = append(results, cfg.runArm(pol, level, cfg.Seed+130363*uint64(li+1), reqs, fallback, reps))
 		}
 	}
 	return results
+}
+
+// runArm runs one policy arm at one fault level through the simulator.
+func (cfg CampaignConfig) runArm(pol Policy, level float64, seed uint64, reqs []SimRequest,
+	fallback func(tensor.Vector) tensor.Vector, reps []*Replica) ArmResult {
+	m := RunSim(SimConfig{
+		Policy: pol, Lat: cfg.Lat, Duration: cfg.Duration, Rate: cfg.Rate,
+		Requests: reqs, Fallback: fallback, RNG: rngutil.New(seed),
+		Obs: cfg.Obs, Tracer: cfg.Tracer,
+	}, reps)
+	return ArmResult{Policy: pol.Name, Level: level, M: m}
 }
 
 // RunR2 renders the full R2 experiment — both pipelines' campaign tables —

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // BreakerState is the three-state circuit breaker of a replica.
 type BreakerState int32
@@ -36,12 +32,10 @@ func (s BreakerState) String() string {
 
 // Health is the per-replica accounting driving the circuit breaker:
 // canary-divergence and latency EWMAs, a transient-rate EWMA from serving,
-// and a latency window for the hedging quantile. It synchronizes itself so
-// the concurrent Service can read state while workers and the canary
-// goroutine feed it; the virtual-time simulator calls it single-threaded.
+// and a latency window for the hedging quantile. It is not synchronized:
+// only the dispatch core touches it, inside the simulator's loop or under
+// the live Service's mutex.
 type Health struct {
-	mu sync.Mutex
-
 	state     BreakerState
 	alpha     float64
 	degradeAt float64
@@ -77,32 +71,19 @@ func NewHealth(pol Policy) *Health {
 
 // State reports the current breaker state.
 func (h *Health) State() BreakerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.state
 }
 
 // InRotation reports whether the replica may take new requests.
 func (h *Health) InRotation() bool { return h.State() != Quarantined }
 
-// Divergence reports the canary-divergence EWMA.
-func (h *Health) Divergence() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.divEWMA
-}
-
 // Latency reports the service-latency EWMA in seconds.
 func (h *Health) Latency() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.latEWMA
 }
 
 // ObserveServe folds one completed serving attempt into the accounting.
 func (h *Health) ObserveServe(latency float64, transient bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.latEWMA == 0 {
 		h.latEWMA = latency
 	} else {
@@ -121,8 +102,6 @@ func (h *Health) ObserveServe(latency float64, transient bool) {
 // quarantined replica stays quarantined: only Readmit (the recalibration
 // path) brings it back.
 func (h *Health) ObserveCanary(div float64) BreakerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.divEWMA = h.alpha*div + (1-h.alpha)*h.divEWMA
 	if h.state == Quarantined {
 		return h.state
@@ -141,8 +120,6 @@ func (h *Health) ObserveCanary(div float64) BreakerState {
 // Readmit returns a recalibrated replica to rotation, seeding the
 // divergence EWMA with its fresh post-recalibration measurement.
 func (h *Health) Readmit(div float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.divEWMA = div
 	h.transEWMA = 0
 	if div >= h.degradeAt {
@@ -156,7 +133,5 @@ func (h *Health) Readmit(div float64) {
 // the q-th quantile of its recent latencies, floored by min (used until
 // the window warms up) and capped by max.
 func (h *Health) HedgeDelay(q, min, max float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.window.HedgeDelay(q, min, max)
 }

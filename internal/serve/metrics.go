@@ -25,16 +25,21 @@ type Metrics struct {
 	// Coalesced the requests those blocks carried. Both stay zero with
 	// batching off and neither is a request disposition.
 	Batches, Coalesced int
+	// SuspectServed counts completions that returned a verify-failed read
+	// because attempts or time ran out (a subset of Completed). Closed
+	// counts requests a live Service answered ErrClosed while shutting
+	// down; it is always zero in the simulator.
+	SuspectServed, Closed int
 
 	latencies []float64 // completion latencies, seconds
 }
 
 // Check verifies the terminal-disposition accounting: every offered
-// request must end in exactly one of completed, shed, expired, or
-// unavailable (Late is a subset of Completed), mirroring the fleet
-// simulator's cluster.Metrics.Check discipline.
+// request must end in exactly one of completed, shed, expired,
+// unavailable, or closed (Late is a subset of Completed), mirroring the
+// fleet simulator's cluster.Metrics.Check discipline.
 func (m *Metrics) Check() error {
-	terminals := m.Completed + m.Shed + m.Expired + m.Unavailable
+	terminals := m.Completed + m.Shed + m.Expired + m.Unavailable + m.Closed
 	if terminals != m.Offered {
 		return fmt.Errorf("serve: %d offered requests but %d terminal dispositions", m.Offered, terminals)
 	}

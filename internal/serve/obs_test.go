@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -135,5 +136,51 @@ func TestSimObsDumpWorkerIndependence(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("stable dumps differ between runs:\n--- a ---\n%s--- b ---\n%s", a, b)
+	}
+}
+
+// TestLiveCountersPublished pins the live runtime's instruments: each
+// counter follows its Metrics count, and all of them stay out of the
+// deterministic stable dump.
+func TestLiveCountersPublished(t *testing.T) {
+	pol := PolicyNone()
+	pol.QueueCap = 1
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	pipe := &stubPipe{infer: func() (tensor.Vector, bool) {
+		entered <- struct{}{}
+		<-release
+		return tensor.Vector{1}, true
+	}}
+	svc := NewService(pol, []*Replica{NewReplica(0, pipe, pol)}, nil, 1)
+	defer svc.Close()
+	reg := obs.NewRegistry()
+	svc.SetObservability(reg, nil)
+
+	// One request holds the replica, one queues behind it, a third is shed.
+	errs := make(chan error, 2)
+	do := func() { _, err := svc.Do(tensor.Vector{0}); errs <- err }
+	go do()
+	<-entered
+	go do()
+	waitUntil(t, func() bool { return queueLen(svc) == 1 })
+	if _, err := svc.Do(tensor.Vector{0}); err != ErrShed {
+		t.Fatalf("third request: err = %v, want ErrShed", err)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	for name, want := range map[string]int64{"serve_live_served_total": 2, "serve_live_shed_total": 1} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	var b strings.Builder
+	reg.WriteStable(&b)
+	if strings.Contains(b.String(), "serve_live") {
+		t.Fatalf("live counters leaked into the stable dump:\n%s", b.String())
 	}
 }

@@ -55,13 +55,6 @@ type RecalStats struct {
 	Residual float64
 }
 
-func (s *RecalStats) add(o RecalStats) {
-	s.Pulses += o.Pulses
-	s.DetectReads += o.DetectReads
-	s.Remapped += o.Remapped
-	s.Residual += o.Residual
-}
-
 // relL2 is the relative L2 distance ‖got−want‖/‖want‖ (0 when want = 0).
 func relL2(got, want tensor.Vector) float64 {
 	var num, den float64
@@ -132,29 +125,10 @@ type MLPPipeline struct {
 // point fault campaigns use. The canary vectors' digital reference outputs
 // are captured from golden before any analog hardware touches them.
 func NewMLPPipeline(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPipelineConfig, attach func(*crossbar.Array), rng *rngutil.Source) *MLPPipeline {
-	if cfg.SpareCols <= 0 {
-		cfg.SpareCols = 0.25
-	}
-	p := &MLPPipeline{cfg: cfg, net: &nn.MLP{}}
-	for _, x := range canaryX {
-		p.canaryX = append(p.canaryX, x.Clone())
-		p.canaryY = append(p.canaryY, golden.Forward(x).Clone())
-	}
-	for li, l := range golden.Layers {
-		src := l.W.(*nn.DenseMat).M.Clone()
-		spares := tensor.MaxInt(2, int(float64(l.W.Cols())*cfg.SpareCols))
-		arr := faults.NewRemappedArray(l.W.Rows(), l.W.Cols(), spares, cfg.Model, cfg.Array,
-			rng.Child(fmt.Sprintf("layer%d", li)))
-		if attach != nil {
-			attach(arr.Arr)
-		}
+	p, _ := newMLPPipeline(golden, canaryX, cfg, attach, rng, func(li int, arr *faults.RemappedArray, src *tensor.Matrix) error {
 		arr.Program(src, cfg.Prog)
-		p.arrays = append(p.arrays, arr)
-		p.golden = append(p.golden, src)
-		p.net.Layers = append(p.net.Layers, &nn.DenseLayer{
-			In: l.In, Out: l.Out, Bias: l.Bias, Act: l.Act, W: arr,
-		})
-	}
+		return nil
+	})
 	return p
 }
 
@@ -178,11 +152,23 @@ func (p *MLPPipeline) ExportArrayStates() []crossbar.ArrayState {
 // snapshot must come from ExportArrayStates taken before any column
 // remapping (the fresh remap table is identity).
 func NewMLPPipelineFromState(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPipelineConfig, states []crossbar.ArrayState, attach func(*crossbar.Array), rng *rngutil.Source) (*MLPPipeline, error) {
-	if cfg.SpareCols <= 0 {
-		cfg.SpareCols = 0.25
-	}
 	if len(states) != len(golden.Layers) {
 		return nil, fmt.Errorf("serve: snapshot has %d arrays, network has %d layers", len(states), len(golden.Layers))
+	}
+	return newMLPPipeline(golden, canaryX, cfg, attach, rng, func(li int, arr *faults.RemappedArray, _ *tensor.Matrix) error {
+		if err := arr.Arr.ImportState(states[li]); err != nil {
+			return fmt.Errorf("serve: layer %d: %w", li, err)
+		}
+		return nil
+	})
+}
+
+// newMLPPipeline builds the arrays of a replica of golden and hands each
+// one, with its golden weights, to load.
+func newMLPPipeline(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPipelineConfig, attach func(*crossbar.Array), rng *rngutil.Source,
+	load func(li int, arr *faults.RemappedArray, src *tensor.Matrix) error) (*MLPPipeline, error) {
+	if cfg.SpareCols <= 0 {
+		cfg.SpareCols = 0.25
 	}
 	p := &MLPPipeline{cfg: cfg, net: &nn.MLP{}}
 	for _, x := range canaryX {
@@ -197,8 +183,8 @@ func NewMLPPipelineFromState(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPip
 		if attach != nil {
 			attach(arr.Arr)
 		}
-		if err := arr.Arr.ImportState(states[li]); err != nil {
-			return nil, fmt.Errorf("serve: layer %d: %w", li, err)
+		if err := load(li, arr, src); err != nil {
+			return nil, err
 		}
 		p.arrays = append(p.arrays, arr)
 		p.golden = append(p.golden, src)

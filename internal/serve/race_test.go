@@ -99,6 +99,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 	}, 4)
 
 	var ok, failed atomic.Int64
+	var tally outcomes
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	for g := 0; g < 6; g++ {
@@ -107,6 +108,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(deadline); i++ {
 				y, err := svc.Do(test.X[(g*17+i)%len(test.X)])
+				tally.add(err)
 				if err != nil {
 					failed.Add(1)
 					time.Sleep(200 * time.Microsecond)
@@ -134,6 +136,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 		t.Fatalf("inconsistent accounting: ok=%d failed=%d counters=%+v",
 			ok.Load(), failed.Load(), c)
 	}
+	tally.check(t, svc)
 	// The service must reject new work after Close rather than hang.
 	if _, err := svc.Do(test.X[0]); err == nil {
 		t.Fatal("Do after Close must fail")
@@ -149,13 +152,16 @@ func TestServiceCloseUnblocksQueued(t *testing.T) {
 	pipe := NewMLPPipeline(golden, train.X[:4], DefaultMLPPipelineConfig(), nil, rngutil.New(3))
 	svc := NewService(pol, []*Replica{NewReplica(0, pipe, pol)}, nil, 2)
 
+	var tally outcomes
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := svc.Do(test.X[(g+i)%len(test.X)]); err == ErrClosed {
+				_, err := svc.Do(test.X[(g+i)%len(test.X)])
+				tally.add(err)
+				if err == ErrClosed {
 					return
 				}
 			}
@@ -169,5 +175,55 @@ func TestServiceCloseUnblocksQueued(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("callers still blocked after Close")
+	}
+	tally.check(t, svc)
+}
+
+// outcomes tallies what Do returned to its callers, one count per
+// disposition.
+type outcomes struct {
+	mu                                         sync.Mutex
+	served, shed, expired, unavailable, closed int64
+}
+
+func (o *outcomes) add(err error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	switch err {
+	case nil:
+		o.served++
+	case ErrShed:
+		o.shed++
+	case ErrDeadline:
+		o.expired++
+	case ErrUnavailable:
+		o.unavailable++
+	case ErrClosed:
+		o.closed++
+	default:
+		panic(err)
+	}
+}
+
+// check is the no-request-lost-or-double-served invariant of the live
+// driver: after Close, the service's counters equal the callers' tally
+// exactly, and the core's accounting balances.
+func (o *outcomes) check(t *testing.T, svc *Service) {
+	t.Helper()
+	c := svc.Counters()
+	o.mu.Lock()
+	want := ServiceCounters{Served: o.served, Shed: o.shed, Expired: o.expired,
+		Unavailable: o.unavailable, Closed: o.closed}
+	o.mu.Unlock()
+	got := ServiceCounters{Served: c.Served, Shed: c.Shed, Expired: c.Expired,
+		Unavailable: c.Unavailable, Closed: c.Closed}
+	if got != want {
+		t.Fatalf("service counters %+v differ from the callers' tally %+v", got, want)
+	}
+	svc.mu.Lock()
+	m := svc.core.m
+	svc.mu.Unlock()
+	if err := m.Check(); err != nil {
+		t.Fatalf("live accounting does not balance: %v", err)
 	}
 }

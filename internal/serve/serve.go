@@ -17,8 +17,8 @@
 //     and do not trigger retry storms);
 //
 //   - hedged reads: when a replica's attempt outlives the replica pool's
-//     observed latency quantile, the request is dispatched to a second
-//     replica and the first success wins;
+//     observed latency quantile, the request is dispatched to a second,
+//     free replica and the first success wins;
 //
 //   - per-replica health accounting (canary-divergence and latency EWMAs,
 //     fed by a canary probe that periodically replays golden vectors with
@@ -34,16 +34,19 @@
 //     float fallback path, keep serving so throughput degrades gracefully
 //     instead of failing.
 //
-// Two drivers exercise the machinery. Service is the real goroutine
-// runtime (bounded channel queue, worker pool, wall-clock deadlines and
-// hedging timers, background canary and recalibration goroutines); its
-// behaviour is timing-dependent by nature and it is hammered by the -race
-// tests, including forward reads racing a background reprogram. The R2
-// campaign (cmd/serve-campaign) instead drives the identical policy,
-// health, and pipeline machinery through a virtual-time discrete-event
-// simulator (sim.go), so the published goodput/latency/accuracy tables are
-// bit-identical run-to-run at a fixed seed — the serving-layer analogue of
-// R1's graceful-degradation tables.
+// One single-threaded dispatch core (core.go) holds the whole request
+// lifecycle — admit, pick, dispatch, batch pump, hedge, retry, complete,
+// canary and recalibration: it takes timestamped events and emits actions.
+// Two drivers run it. RunSim (sim.go), behind the R2 campaign
+// (cmd/serve-campaign), runs each action inline at its virtual instant, so
+// the published tables are bit-identical run-to-run at a fixed seed.
+// Service (service.go) is the live goroutine runtime: it holds the core
+// under one mutex and runs the pipelines outside it; the -race tests
+// hammer it, including forward reads racing a background reprogram. Only
+// the live driver feeds the caller's deadline and the end of a canary
+// round, which the simulator models as virtual time (see Service), and
+// TestLiveMatchesSim requires both drivers to give every request of one
+// scripted workload the same outcome.
 package serve
 
 // Policy bounds the serving behaviour of one arm of the campaign (and of a
@@ -60,20 +63,21 @@ type Policy struct {
 	// Deadline is the per-request completion deadline in seconds.
 	Deadline float64
 
-	// BatchMax enables dynamic request batching: a worker coalesces up to
-	// BatchMax queued requests into one batched inference (the sample-blocked
-	// MVM path), with per-request verify/retry/fallback disposition
-	// preserved and requests that expired in the queue dropped from the
-	// block before dispatch. 0 or 1 keeps today's one-request dispatch
+	// BatchMax enables dynamic request batching: a freed replica coalesces
+	// up to BatchMax queued requests into one batched inference (the
+	// sample-blocked MVM path), with per-request verify/retry/fallback
+	// disposition preserved and requests that expired in the queue dropped
+	// from the block before dispatch. 0 or 1 keeps one-request dispatch
 	// exactly.
 	BatchMax int
-	// BatchWait is the longest a live worker holding a partial block waits
-	// for more arrivals, in seconds. The wait budget is carved from the
-	// earliest pending deadline (the block's head request), so waiting can
-	// never spend time that request needs to be served; it runs on the
-	// service clock, so virtual-time tests control it exactly. 0 dispatches
-	// whatever is immediately queued (the simulator's behaviour: it
-	// coalesces only the backlog present at dispatch time).
+	// BatchWait is the gather timer, in seconds: a replica that frees
+	// while fewer than BatchMax requests are queued is reserved, and the
+	// block waits for more arrivals until the timer fires or the block
+	// fills. The wait is carved
+	// from the head request's deadline, so waiting can never spend time
+	// that request needs; it runs on the driver's clock, so virtual-time
+	// tests control it exactly. 0 dispatches whatever is queued at once
+	// (every simulator campaign runs this way).
 	BatchWait float64
 
 	// VerifyReads enables temporal-redundancy transient detection: every

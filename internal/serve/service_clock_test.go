@@ -10,13 +10,14 @@ import (
 )
 
 // stubPipe is a scripted Pipeline for live-runtime tests: Infer delegates
-// to a closure, canaries are always clean, recalibration free.
+// to a closure, canaries are clean (and counted), recalibration free.
 type stubPipe struct {
-	infer func() (tensor.Vector, bool)
+	infer    func() (tensor.Vector, bool)
+	canaries atomic.Int32
 }
 
 func (p *stubPipe) Infer(x tensor.Vector, verify bool) (tensor.Vector, bool) { return p.infer() }
-func (p *stubPipe) CanaryDivergence() float64                                { return 0 }
+func (p *stubPipe) CanaryDivergence() float64                                { p.canaries.Add(1); return 0 }
 func (p *stubPipe) Recalibrate() RecalStats                                  { return RecalStats{} }
 
 // driveManual advances m in small virtual steps from a background goroutine
@@ -151,7 +152,11 @@ func TestAttemptDeadlineSuspectAccounted(t *testing.T) {
 	// the deadline with the hedge still in flight.
 	close(releasePrimary)
 	primary := reps[firstID.Load()]
-	waitUntil(t, func() bool { return primary.Health.HedgeDelay(0.5, 0, 0) > 0 })
+	waitUntil(t, func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return primary.Health.HedgeDelay(0.5, 0, 0) > 0
+	})
 	clk.Advance(200 * time.Millisecond)
 
 	select {
@@ -174,6 +179,120 @@ func TestAttemptDeadlineSuspectAccounted(t *testing.T) {
 	}
 	if c.Served != 1 {
 		t.Fatalf("Served = %d, want 1", c.Served)
+	}
+}
+
+// TestLateAttemptUpdatesHealth pins that an attempt finishing after its
+// caller's deadline still reaches Health: the caller gets ErrDeadline at
+// the deadline, and the straggler's latency is folded into the replica's
+// accounting when it lands, instead of being dropped.
+func TestLateAttemptUpdatesHealth(t *testing.T) {
+	pol := PolicyNone()
+	pol.Deadline = 0.1
+
+	vec := tensor.Vector{0, 1}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	pipe := &stubPipe{infer: func() (tensor.Vector, bool) {
+		close(entered)
+		<-release
+		return vec.Clone(), true
+	}}
+	rep := NewReplica(0, pipe, pol)
+	svc := NewService(pol, []*Replica{rep}, nil, 1)
+	defer svc.Close()
+	clk := obs.NewManual(time.Unix(0, 0))
+	svc.SetClock(clk)
+
+	resCh := make(chan error, 1)
+	go func() {
+		_, err := svc.Do(tensor.Vector{0})
+		resCh <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempt never started")
+	}
+	clk.Advance(200 * time.Millisecond)
+	select {
+	case err := <-resCh:
+		if err != ErrDeadline {
+			t.Fatalf("Do: err = %v, want ErrDeadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do never returned after the deadline fired")
+	}
+	latency := func() float64 {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return rep.Health.Latency()
+	}
+	if l := latency(); l != 0 {
+		t.Fatalf("Health latency %v before the attempt finished, want 0", l)
+	}
+
+	// The straggler lands 200ms after dispatch: Health must see exactly it.
+	close(release)
+	waitUntil(t, func() bool { return latency() != 0 })
+	if l := latency(); l != 0.2 {
+		t.Fatalf("Health latency = %v, want the late attempt's 0.2s", l)
+	}
+	if c := svc.Counters(); c.Expired != 1 || c.Served != 0 {
+		t.Fatalf("Expired/Served = %d/%d, want 1/0", c.Expired, c.Served)
+	}
+}
+
+// TestCanaryRoundsOnServiceClock pins the canary cadence to the service
+// clock: with time standing still no round runs, and each advance of
+// CanaryEvery runs exactly one round on every replica in rotation, the
+// replicas staggered across the period. A quarantined replica is skipped.
+func TestCanaryRoundsOnServiceClock(t *testing.T) {
+	pol := PolicyFull()
+	pol.CanaryEvery = 3 // seconds
+	vec := tensor.Vector{0, 1}
+	var pipes []*stubPipe
+	var reps []*Replica
+	for i := 0; i < 3; i++ {
+		p := &stubPipe{infer: func() (tensor.Vector, bool) { return vec.Clone(), true }}
+		pipes = append(pipes, p)
+		reps = append(reps, NewReplica(i, p, pol))
+	}
+	// Replica 2 is out of rotation from the start.
+	for reps[2].Health.ObserveCanary(1) != Quarantined {
+	}
+	svc := NewService(pol, reps, nil, 1)
+	defer svc.Close()
+	clk := newStepClock()
+	svc.SetClock(clk)
+
+	rounds := func() [3]int32 {
+		settle(t, svc, clk)
+		var n [3]int32
+		for i, p := range pipes {
+			n[i] = p.canaries.Load()
+		}
+		return n
+	}
+	time.Sleep(20 * time.Millisecond) // wall time passes, virtual time does not
+	if n := rounds(); n != [3]int32{} {
+		t.Fatalf("canary rounds %v with the clock standing still, want none", n)
+	}
+	for period := int32(1); period <= 3; period++ {
+		// One third of the period brings replica 0's round, two thirds
+		// replica 1's, the full period replica 2's (skipped: quarantined).
+		clk.Advance(time.Second)
+		if n := rounds(); n != [3]int32{period, period - 1, 0} {
+			t.Fatalf("period %d, 1/3: canary rounds %v", period, n)
+		}
+		clk.Advance(time.Second)
+		if n := rounds(); n != [3]int32{period, period, 0} {
+			t.Fatalf("period %d, 2/3: canary rounds %v", period, n)
+		}
+		clk.Advance(time.Second)
+		if n := rounds(); n != [3]int32{period, period, 0} {
+			t.Fatalf("period %d, 3/3: canary rounds %v", period, n)
+		}
 	}
 }
 

@@ -80,14 +80,6 @@ func (m LatencyModel) AttemptDuration(rng *rngutil.Source, verify bool) float64 
 	return d
 }
 
-func (m LatencyModel) recal(st RecalStats) float64 {
-	d := float64(st.Pulses)*m.PulseTime + float64(st.DetectReads)*m.ReadTime
-	if d < m.RecalFloor {
-		d = m.RecalFloor
-	}
-	return d
-}
-
 // SimRequest is one inference request of the campaign stream: an input and
 // the digital-reference answer (argmax class) it is graded against.
 type SimRequest struct {
@@ -123,124 +115,132 @@ type SimConfig struct {
 	Tracer *obs.Tracer
 }
 
-// event kinds, in tie-break-irrelevant order (seq breaks ties).
-const (
-	evArrival = iota
-	evDone
-	evHedge
-	evRetry
-	evCanary
-	evRecalDone
-)
-
-type simEvent struct {
-	kind int
-	req  *simReq
-	rep  *simReplica
-	att  *simAttempt
-}
-
-type simReq struct {
-	SimRequest
-	arrive   float64
-	deadline float64
-	attempts int
-	backoff  float64
-	inFlight int
-	hedged   bool
-	done     bool
-	span     *obs.Span
-}
-
-type simAttempt struct {
-	req     *simReq
-	rep     *simReplica
-	dur     float64
-	correct bool
-	ok      bool
-	span    *obs.Span
-}
-
-type simReplica struct {
-	*Replica
-	freeAt     float64
-	recalTries int
-	recalling  bool
-	dead       bool
-	lastDiv    float64 // canary divergence measured by the last recal
-}
-
-// sim is the virtual-time discrete-event driver sharing the live Service's
-// Policy/Health/Pipeline machinery. Single-threaded, heap-ordered by
-// (time, seq): bit-identical tables at a fixed seed.
+// sim is the virtual-time driver of the dispatch core: every action runs
+// inline at its event's instant — Infer in event order, durations from the
+// LatencyModel, timers on an EventQueue ordered by (time, push order) — so
+// the tables are bit-identical at a fixed seed.
 type sim struct {
 	cfg    SimConfig
-	reps   []*simReplica
-	queue  []*simReq
-	events EventQueue[simEvent]
-	rr     int
+	c      *core
+	events EventQueue[func(t float64)]
 	arrRN  *rngutil.Source
 	latRN  *rngutil.Source
 	next   int // next request-stream index
-	m      Metrics
-	peakQ  int // queue-depth high-water mark
+	// arrivals, when non-nil, replaces the Poisson stream with scripted
+	// arrival times; answered, when non-nil, sees every request's result.
+	arrivals []float64
+	answered func(req *request, y tensor.Vector, err error)
 }
 
 // RunSim drives one policy arm over the replica pool and returns its
 // metrics. The replicas' pipelines are consumed (faults accumulate);
 // rebuild them per arm.
 func RunSim(cfg SimConfig, replicas []*Replica) Metrics {
-	if cfg.Policy.MaxAttempts <= 0 {
-		cfg.Policy.MaxAttempts = 1
-	}
-	if cfg.Policy.QueueCap <= 0 {
-		cfg.Policy.QueueCap = 64
-	}
+	return newSim(cfg, replicas).run()
+}
+
+func newSim(cfg SimConfig, replicas []*Replica) *sim {
 	s := &sim{
 		cfg:   cfg,
 		arrRN: cfg.RNG.Child("arrivals"),
 		latRN: cfg.RNG.Child("latency"),
 	}
-	for _, r := range replicas {
-		s.reps = append(s.reps, &simReplica{Replica: r})
-	}
-	s.push(s.nextArrival(0), evArrival, nil, nil, nil)
-	if cfg.Policy.Watchdog && cfg.Policy.CanaryEvery > 0 {
-		// Stagger the probes across the pool so canary busy time never
-		// takes every replica out of service at the same instant.
-		for i, r := range s.reps {
-			offset := cfg.Policy.CanaryEvery * float64(i+1) / float64(len(s.reps))
-			s.push(offset, evCanary, nil, r, nil)
-		}
-	}
+	s.c = newCore(cfg.Policy, replicas, s, cfg.Fallback != nil)
+	s.c.tracer = cfg.Tracer
+	s.c.until = cfg.Duration
+	s.c.keepLatencies = true
+	return s
+}
+
+func (s *sim) run() Metrics {
+	s.pushArrival(0)
+	s.c.start(0)
 	for s.events.Len() > 0 {
-		t, e := s.events.Pop()
-		switch e.kind {
-		case evArrival:
-			s.onArrival(t)
-		case evDone:
-			s.onDone(t, e.att)
-		case evHedge:
-			s.onHedge(t, e.req, e.rep)
-		case evRetry:
-			s.onRetry(t, e.req)
-		case evCanary:
-			s.onCanary(t, e.rep)
-		case evRecalDone:
-			s.onRecalDone(t, e.rep)
-		}
+		t, f := s.events.Pop()
+		f(t)
 	}
 	// Anything still queued when the event stream ran dry can never be
 	// served: it expired waiting.
-	for _, q := range s.queue {
+	for _, q := range s.c.queue {
 		if !q.done {
-			s.m.Expired++
-			q.span.SetErr("expired")
-			q.span.End(q.deadline)
+			s.c.fail(q.deadline, q, ErrDeadline)
 		}
 	}
 	s.exportObs()
-	return s.m
+	return s.c.m
+}
+
+// pushArrival schedules the arrival after the one at now (the first one
+// when s.next is 0).
+func (s *sim) pushArrival(now float64) {
+	if s.arrivals != nil {
+		if s.next < len(s.arrivals) {
+			s.events.Push(s.arrivals[s.next], s.onArrival)
+		}
+		return
+	}
+	u := s.arrRN.Uniform(0, 1)
+	if u <= 0 {
+		u = 1e-12
+	}
+	s.events.Push(now-math.Log(u)/s.cfg.Rate, s.onArrival)
+}
+
+func (s *sim) onArrival(t float64) {
+	if t > s.cfg.Duration {
+		return
+	}
+	// Schedule the next arrival while the window is open.
+	r := s.cfg.Requests[s.next%len(s.cfg.Requests)]
+	s.next++
+	s.pushArrival(t)
+	s.c.arrive(t, &request{x: r.X, want: r.Want})
+}
+
+func (s *sim) infer(t float64, rep *Replica, atts []*attempt) {
+	verify := s.cfg.Policy.VerifyReads
+	rep.run(atts, verify)
+	// One draw prices the whole block, scaled per extra member.
+	dur := s.cfg.Lat.AttemptDuration(s.latRN, verify)
+	dur *= 1 + s.cfg.Lat.BatchPerExtra*float64(len(atts)-1)
+	rep.freeAt = t + dur
+	for _, a := range atts {
+		a.dur = dur
+		s.events.Push(t+dur, func(t float64) { s.c.onDone(t, a) })
+	}
+}
+
+func (s *sim) fallback(t float64, att *attempt) {
+	att.y, att.ok = s.cfg.Fallback(att.req.x), true
+	att.dur = s.cfg.Lat.Base * s.cfg.Lat.DigitalMult * math.Exp(s.latRN.Normal(0, s.cfg.Lat.Jitter))
+	s.events.Push(t+att.dur, func(t float64) { s.c.onDone(t, att) })
+}
+
+func (s *sim) timer(at float64, f func(t float64)) { s.events.Push(at, f) }
+
+// canary replays the golden vectors now and books the round as replica
+// busy time.
+func (s *sim) canary(t float64, rep *Replica) {
+	div := rep.Canary()
+	busy := float64(s.cfg.Policy.CanaryVectors) * s.cfg.Lat.CanaryPerVec
+	if rep.freeAt < t {
+		rep.freeAt = t
+	}
+	rep.freeAt += busy
+	s.c.onCanaryResult(t, rep, div)
+}
+
+func (s *sim) recal(t float64, rep *Replica) {
+	st, div := rep.Recalibrate()
+	lat := s.cfg.Lat
+	d := max(float64(st.Pulses)*lat.PulseTime+float64(st.DetectReads)*lat.ReadTime, lat.RecalFloor)
+	s.events.Push(t+d, func(t float64) { s.c.onRecalDone(t, rep, div) })
+}
+
+func (s *sim) answer(t float64, req *request, y tensor.Vector, err error) {
+	if s.answered != nil {
+		s.answered(req, y, err)
+	}
 }
 
 // exportObs folds the arm's final accounting into the shared registry. Arms
@@ -251,366 +251,36 @@ func (s *sim) exportObs() {
 	if r == nil {
 		return
 	}
+	m := &s.c.m
 	add := func(name, help string, v int) {
 		r.Counter(name, help).Add(int64(v))
 	}
-	add("serve_sim_offered_total", "requests offered to the simulated service", s.m.Offered)
-	add("serve_sim_shed_total", "requests load-shed at a full queue", s.m.Shed)
-	add("serve_sim_expired_total", "requests that missed their deadline before completing", s.m.Expired)
-	add("serve_sim_late_total", "requests completed after their deadline", s.m.Late)
-	add("serve_sim_unavailable_total", "requests with no replica in rotation and no fallback", s.m.Unavailable)
-	add("serve_sim_completed_total", "requests that returned a result", s.m.Completed)
-	add("serve_sim_good_total", "requests answered on time and correctly", s.m.Good)
-	add("serve_sim_retries_total", "retry attempts scheduled", s.m.Retries)
-	add("serve_sim_hedges_total", "hedged attempts dispatched", s.m.Hedges)
-	add("serve_sim_recals_total", "recalibration passes started", s.m.Recals)
-	add("serve_sim_fallbacks_total", "requests served by the digital fallback", s.m.Fallbacks)
-	add("serve_sim_quarantines_total", "replica quarantine transitions", s.m.Quarantines)
-	add("serve_sim_readmits_total", "quarantined replicas re-admitted after recalibration", s.m.Readmits)
+	add("serve_sim_offered_total", "requests offered to the simulated service", m.Offered)
+	add("serve_sim_shed_total", "requests load-shed at a full queue", m.Shed)
+	add("serve_sim_expired_total", "requests that missed their deadline before completing", m.Expired)
+	add("serve_sim_late_total", "requests completed after their deadline", m.Late)
+	add("serve_sim_unavailable_total", "requests with no replica in rotation and no fallback", m.Unavailable)
+	add("serve_sim_completed_total", "requests that returned a result", m.Completed)
+	add("serve_sim_good_total", "requests answered on time and correctly", m.Good)
+	add("serve_sim_retries_total", "retry attempts scheduled", m.Retries)
+	add("serve_sim_hedges_total", "hedged attempts dispatched", m.Hedges)
+	add("serve_sim_recals_total", "recalibration passes started", m.Recals)
+	add("serve_sim_fallbacks_total", "requests served by the digital fallback", m.Fallbacks)
+	add("serve_sim_quarantines_total", "replica quarantine transitions", m.Quarantines)
+	add("serve_sim_readmits_total", "quarantined replicas re-admitted after recalibration", m.Readmits)
 	// Batch counters appear only when an arm actually coalesced, so the
 	// stable dump of batching-off campaigns is unchanged byte for byte.
-	if s.m.Batches > 0 {
-		add("serve_sim_batches_total", "coalesced blocks dispatched by batching arms", s.m.Batches)
-		add("serve_sim_coalesced_total", "requests served inside coalesced blocks", s.m.Coalesced)
+	if m.Batches > 0 {
+		add("serve_sim_batches_total", "coalesced blocks dispatched by batching arms", m.Batches)
+		add("serve_sim_coalesced_total", "requests served inside coalesced blocks", m.Coalesced)
 	}
 	h := r.Histogram("serve_sim_latency_seconds",
 		"completion latency of simulated requests (virtual time, exact quantiles)", 0)
-	for _, l := range s.m.latencies {
+	for _, l := range m.latencies {
 		h.Observe(l)
 	}
 	g := r.Gauge("serve_sim_queue_peak", "high-water mark of the simulated admission queue")
-	if float64(s.peakQ) > g.Value() {
-		g.Set(float64(s.peakQ))
+	if float64(s.c.peakQ) > g.Value() {
+		g.Set(float64(s.c.peakQ))
 	}
-}
-
-func (s *sim) push(t float64, kind int, req *simReq, rep *simReplica, att *simAttempt) {
-	s.events.Push(t, simEvent{kind: kind, req: req, rep: rep, att: att})
-}
-
-func (s *sim) nextArrival(now float64) float64 {
-	u := s.arrRN.Uniform(0, 1)
-	if u <= 0 {
-		u = 1e-12
-	}
-	return now - math.Log(u)/s.cfg.Rate
-}
-
-// pick returns the next free in-rotation replica, healthy first. allDown
-// reports whether every replica is out of rotation entirely (quarantined
-// or dead) — the fallback condition, distinct from "merely busy".
-func (s *sim) pick(t float64, avoid *simReplica) (best *simReplica, allDown bool) {
-	n := len(s.reps)
-	start := s.rr
-	s.rr = (s.rr + 1) % n
-	allDown = true
-	var degraded *simReplica
-	for i := 0; i < n; i++ {
-		r := s.reps[(start+i)%n]
-		if r.dead || r.Health.State() == Quarantined {
-			continue
-		}
-		allDown = false
-		if r == avoid || r.freeAt > t {
-			continue
-		}
-		switch r.Health.State() {
-		case Healthy:
-			return r, false
-		case Degraded:
-			if degraded == nil {
-				degraded = r
-			}
-		}
-	}
-	return degraded, allDown
-}
-
-func (s *sim) onArrival(t float64) {
-	if t <= s.cfg.Duration {
-		// Admit this arrival and schedule the next while the window is open.
-		s.push(s.nextArrival(t), evArrival, nil, nil, nil)
-	} else {
-		return
-	}
-	s.m.Offered++
-	req := &simReq{
-		SimRequest: s.cfg.Requests[s.next%len(s.cfg.Requests)],
-		arrive:     t,
-		deadline:   t + s.cfg.Policy.Deadline,
-		backoff:    s.cfg.Policy.RetryBackoff,
-		span:       s.cfg.Tracer.Start("request", t),
-	}
-	s.next++
-	s.admit(t, req)
-}
-
-// admit routes a request: dispatch if a replica is free, fall back if the
-// whole pool is down, queue if there is room, shed otherwise.
-func (s *sim) admit(t float64, req *simReq) {
-	rep, allDown := s.pick(t, nil)
-	if rep != nil {
-		s.dispatch(t, req, rep, false)
-		return
-	}
-	if allDown {
-		s.serveFallback(t, req)
-		return
-	}
-	if len(s.queue) >= s.cfg.Policy.QueueCap {
-		s.m.Shed++
-		req.span.SetErr("shed")
-		req.span.End(t)
-		return
-	}
-	req.span.Stage("queue", t)
-	s.queue = append(s.queue, req)
-	if len(s.queue) > s.peakQ {
-		s.peakQ = len(s.queue)
-	}
-}
-
-func (s *sim) serveFallback(t float64, req *simReq) {
-	if !s.cfg.Policy.Fallback || s.cfg.Fallback == nil {
-		s.m.Unavailable++
-		req.span.SetErr("unavailable")
-		req.span.End(t)
-		return
-	}
-	s.m.Fallbacks++
-	req.span.Stage("fallback", t)
-	y := s.cfg.Fallback(req.X)
-	dur := s.cfg.Lat.Base * s.cfg.Lat.DigitalMult * math.Exp(s.latRN.Normal(0, s.cfg.Lat.Jitter))
-	att := &simAttempt{req: req, dur: dur, correct: y.ArgMax() == req.Want, ok: true}
-	req.inFlight++
-	s.push(t+dur, evDone, req, nil, att)
-}
-
-// dispatch runs the real analog inference now (faults inject in event
-// order) and schedules its completion after a modeled service time.
-func (s *sim) dispatch(t float64, req *simReq, rep *simReplica, isHedge bool) {
-	req.attempts++
-	req.inFlight++
-	attName := "attempt"
-	if isHedge {
-		attName = "hedge-attempt"
-	} else {
-		req.span.Stage("dispatch", t)
-	}
-	y, ok := rep.Infer(req.X, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.AttemptDuration(s.latRN, s.cfg.Policy.VerifyReads)
-	rep.freeAt = t + dur
-	att := &simAttempt{req: req, rep: rep, dur: dur, correct: y.ArgMax() == req.Want, ok: ok,
-		span: req.span.Child(attName, t)}
-	s.push(t+dur, evDone, req, rep, att)
-	if s.cfg.Policy.Hedge && !isHedge && !req.hedged && len(s.reps) > 1 {
-		d := rep.Health.HedgeDelay(s.cfg.Policy.HedgeQuantile, s.cfg.Policy.HedgeMin, s.cfg.Policy.Deadline)
-		if t+d < t+dur { // hedging after completion would be pointless
-			s.push(t+d, evHedge, req, rep, nil)
-		}
-	}
-}
-
-func (s *sim) onHedge(t float64, req *simReq, primary *simReplica) {
-	if req.done || req.hedged {
-		return
-	}
-	second, _ := s.pick(t, primary)
-	if second == nil {
-		return
-	}
-	req.hedged = true
-	s.m.Hedges++
-	req.span.Stage("hedge", t)
-	s.dispatch(t, req, second, true)
-}
-
-func (s *sim) onDone(t float64, att *simAttempt) {
-	req := att.req
-	req.inFlight--
-	if att.rep != nil {
-		att.rep.Health.ObserveServe(att.dur, !att.ok)
-	}
-	if !att.ok {
-		// The verify read disagreed with the forward read: the stage where
-		// temporal redundancy caught (or at least suspected) a transient.
-		req.span.Stage("verify-read", t)
-		att.span.SetErr("verify-mismatch")
-	}
-	att.span.End(t)
-	if !req.done {
-		switch {
-		case att.ok:
-			s.complete(t, req, att.correct)
-		case req.inFlight > 0:
-			// A hedge is still running; let it race the retry decision.
-		case req.attempts < s.cfg.Policy.MaxAttempts && t+req.backoff < req.deadline:
-			s.m.Retries++
-			s.push(t+req.backoff, evRetry, req, nil, nil)
-			req.backoff *= 2
-		default:
-			// Out of attempts (or time): serve the suspect read rather
-			// than nothing.
-			s.complete(t, req, att.correct)
-		}
-	}
-	if att.rep != nil {
-		s.pump(t, att.rep)
-	}
-}
-
-func (s *sim) onRetry(t float64, req *simReq) {
-	if req.done {
-		return
-	}
-	if t > req.deadline {
-		s.m.Expired++
-		req.done = true
-		req.span.SetErr("expired")
-		req.span.End(t)
-		return
-	}
-	req.span.Stage("retry", t)
-	s.admit(t, req)
-}
-
-func (s *sim) complete(t float64, req *simReq, correct bool) {
-	req.done = true
-	s.m.Completed++
-	s.m.latencies = append(s.m.latencies, t-req.arrive)
-	if correct {
-		s.m.Correct++
-	}
-	if t <= req.deadline {
-		if correct {
-			s.m.Good++
-		}
-	} else {
-		s.m.Late++
-		req.span.SetErr("late")
-	}
-	req.span.Stage("complete", t)
-	req.span.End(t)
-}
-
-// pump hands a freed replica the oldest still-live queued requests: one
-// with batching off, up to Policy.BatchMax coalesced into a single block
-// otherwise. Requests whose deadline already passed in the queue are
-// expired here — before dispatch — with the same accounting either way, so
-// a stale request never consumes replica time and is never double-counted.
-func (s *sim) pump(t float64, rep *simReplica) {
-	if rep.dead || rep.recalling || rep.freeAt > t || rep.Health.State() == Quarantined {
-		return
-	}
-	max := s.cfg.Policy.BatchMax
-	if max < 1 {
-		max = 1
-	}
-	var batch []*simReq
-	for len(s.queue) > 0 && len(batch) < max {
-		req := s.queue[0]
-		s.queue = s.queue[1:]
-		if req.done {
-			continue
-		}
-		if t > req.deadline {
-			s.m.Expired++
-			req.done = true
-			req.span.SetErr("expired")
-			req.span.End(t)
-			continue
-		}
-		batch = append(batch, req)
-	}
-	switch len(batch) {
-	case 0:
-	case 1:
-		// A lone survivor takes the ordinary dispatch path, so BatchMax=1
-		// (and any block that coalesces to one) is bit-identical to the
-		// unbatched service: same latency draw, same hedge eligibility.
-		s.dispatch(t, batch[0], rep, false)
-	default:
-		s.dispatchBatch(t, batch, rep)
-	}
-}
-
-// dispatchBatch runs one coalesced block: the analog inference executes as
-// a single batched read (the sample-blocked MVM path, with Infer's verify
-// discipline kept per sample), one service-time draw prices the whole
-// block — scaled by BatchPerExtra per extra member — and every member
-// completes at that same instant carrying its own correctness and verify
-// verdict, so retry/fallback disposition stays per-request. Blocks are
-// never hedged: hedging prices single stragglers, and a block already
-// amortizes its dispatch.
-func (s *sim) dispatchBatch(t float64, batch []*simReq, rep *simReplica) {
-	s.m.Batches++
-	s.m.Coalesced += len(batch)
-	xs := make([]tensor.Vector, len(batch))
-	for i, req := range batch {
-		req.attempts++
-		req.inFlight++
-		req.span.Stage("dispatch", t)
-		xs[i] = req.X
-	}
-	ys, oks := rep.InferBatch(xs, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.AttemptDuration(s.latRN, s.cfg.Policy.VerifyReads)
-	dur *= 1 + s.cfg.Lat.BatchPerExtra*float64(len(batch)-1)
-	rep.freeAt = t + dur
-	for i, req := range batch {
-		att := &simAttempt{req: req, rep: rep, dur: dur, correct: ys[i].ArgMax() == req.Want, ok: oks[i],
-			span: req.span.Child("attempt", t)}
-		s.push(t+dur, evDone, req, rep, att)
-	}
-}
-
-func (s *sim) onCanary(t float64, rep *simReplica) {
-	if rep.dead || rep.recalling {
-		return
-	}
-	if t <= s.cfg.Duration {
-		s.push(t+s.cfg.Policy.CanaryEvery, evCanary, nil, rep, nil)
-	}
-	if rep.Health.State() == Quarantined {
-		return
-	}
-	div := rep.Canary()
-	busy := float64(s.cfg.Policy.CanaryVectors) * s.cfg.Lat.CanaryPerVec
-	if rep.freeAt < t {
-		rep.freeAt = t
-	}
-	rep.freeAt += busy
-	if rep.Health.ObserveCanary(div) == Quarantined {
-		s.m.Quarantines++
-		s.startRecal(t, rep)
-	}
-}
-
-func (s *sim) startRecal(t float64, rep *simReplica) {
-	rep.recalling = true
-	s.m.Recals++
-	st, div := rep.Recalibrate()
-	rep.lastDiv = div
-	s.push(t+s.cfg.Lat.recal(st), evRecalDone, nil, rep, nil)
-}
-
-func (s *sim) onRecalDone(t float64, rep *simReplica) {
-	rep.recalling = false
-	if rep.lastDiv <= s.cfg.Policy.ReadmitThresh {
-		rep.recalTries = 0
-		s.m.Readmits++
-		rep.Health.Readmit(rep.lastDiv)
-		rep.freeAt = t
-		s.pump(t, rep)
-		if t <= s.cfg.Duration && s.cfg.Policy.CanaryEvery > 0 {
-			s.push(t+s.cfg.Policy.CanaryEvery, evCanary, nil, rep, nil)
-		}
-		return
-	}
-	if rep.recalTries < s.cfg.Policy.RecalMaxRetries {
-		rep.recalTries++
-		s.startRecal(t, rep)
-		return
-	}
-	// Abandoned: the replica stays quarantined for good.
-	rep.dead = true
 }
