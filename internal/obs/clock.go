@@ -9,13 +9,11 @@ import (
 // Clock abstracts time so the real serving runtime reads every
 // deadline-relevant timestamp — and waits out every backoff, hedge delay,
 // and deadline — from one injectable source: production uses System, tests
-// use a Manual clock whose time (and therefore every Sleep/After) advances
+// use a Manual clock whose time (and therefore every After) advances
 // virtually, and the two paths share the simulator's "one clock per run"
 // discipline.
 type Clock interface {
 	Now() time.Time
-	// Sleep blocks until the clock has advanced by d.
-	Sleep(d time.Duration)
 	// After returns a channel that delivers the clock's reading once it has
 	// advanced by d. Unlike time.NewTimer there is no Stop: abandoned
 	// channels are buffered and simply fire into the void, which keeps the
@@ -26,7 +24,6 @@ type Clock interface {
 type systemClock struct{}
 
 func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // System is the wall clock.
@@ -39,10 +36,10 @@ type waiter struct {
 }
 
 // Manual is a hand-advanced clock for tests: time moves only when the test
-// says so, making deadline checks exact instead of racy. Sleep and After
-// block until Advance (or Set) moves the clock past their due time, so
-// code that backs off or arms hedge/deadline timers through the Clock
-// burns no wall-clock time under test.
+// says so, making deadline checks exact instead of racy. After fires only
+// once Advance (or Set) moves the clock past its due time, so code that
+// backs off or arms hedge/deadline timers through the Clock burns no
+// wall-clock time under test.
 type Manual struct {
 	mu      sync.Mutex
 	t       time.Time
@@ -58,9 +55,6 @@ func (m *Manual) Now() time.Time {
 	defer m.mu.Unlock()
 	return m.t
 }
-
-// Sleep implements Clock: it blocks until the clock has been advanced by d.
-func (m *Manual) Sleep(d time.Duration) { <-m.After(d) }
 
 // After implements Clock: the returned channel fires (with the clock
 // reading at fire time) once the clock reaches now+d. A non-positive d
@@ -78,7 +72,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-// Advance moves the clock forward by d, firing every Sleep/After whose due
+// Advance moves the clock forward by d, firing every After whose due
 // time has been reached.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()

@@ -60,9 +60,9 @@ func TestManualAfterImmediate(t *testing.T) {
 	}
 }
 
-// TestManualSleepIsVirtual proves Sleep consumes no wall time beyond
-// scheduling: a 10-virtual-second sleep completes as soon as the clock is
-// advanced past it.
+// TestManualSleepIsVirtual proves waiting on the clock consumes no wall
+// time beyond scheduling: a 10-virtual-second wait completes as soon as
+// the clock is advanced past it.
 func TestManualSleepIsVirtual(t *testing.T) {
 	m := NewManual(time.Unix(0, 0))
 	var wg sync.WaitGroup
@@ -70,11 +70,11 @@ func TestManualSleepIsVirtual(t *testing.T) {
 	slept := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		m.Sleep(10 * time.Second)
+		<-m.After(10 * time.Second)
 		close(slept)
 	}()
 	// Drive the clock until the sleeper wakes; wall-clock bound is generous
-	// but the virtual duration (10s) would dwarf it if Sleep were real.
+	// but the virtual duration (10s) would dwarf it if the wait were real.
 	t0 := time.Now()
 	for {
 		select {
@@ -108,14 +108,13 @@ func TestManualSetFiresWaiters(t *testing.T) {
 // TestSystemClockAfter smoke-checks the wall-clock implementation so the
 // interface extension stays covered on both paths.
 func TestSystemClockAfter(t *testing.T) {
+	t0 := System.Now()
 	select {
 	case <-System.After(time.Millisecond):
 	case <-time.After(5 * time.Second):
 		t.Fatal("System.After never fired")
 	}
-	t0 := System.Now()
-	System.Sleep(time.Millisecond)
 	if !System.Now().After(t0) {
-		t.Fatal("System.Sleep did not advance wall time")
+		t.Fatal("System.After fired before wall time advanced")
 	}
 }

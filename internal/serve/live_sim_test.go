@@ -33,8 +33,6 @@ func (c *stepClock) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-func (c *stepClock) Sleep(d time.Duration) { <-c.After(d) }
-
 // pending reports how many timers have not fired yet, and the earliest.
 func (c *stepClock) pending() (n int, next time.Time) {
 	c.mu.Lock()
@@ -194,7 +192,7 @@ func TestLiveMatchesSim(t *testing.T) {
 
 	// The live service, stepped from one event to the next.
 	clk := newStepClock()
-	service := func() { clk.Sleep(2 * time.Second) }
+	service := func() { <-clk.After(2 * time.Second) }
 	sc := newScript()
 	sc.sleep = service
 	svc := NewService(pol, pool(sc), func(x tensor.Vector) tensor.Vector {
