@@ -130,13 +130,32 @@ func runF2(w io.Writer, seed uint64, quick bool) error {
 		fmt.Fprintf(w, " %.3f", trace[i])
 	}
 	fmt.Fprintln(w)
-	up100 := trace[pulses/10-1] - trace[0]
-	upLast := trace[pulses-1] - trace[pulses-1-pulses/10]
+	up100, upLast := saturation(trace, pulses)
 	fmt.Fprintf(w, "saturation: first-decile potentiation moves %.4f, last decile %.4f (ratio %.1fx)\n",
 		up100, upLast, up100/math.Max(upLast, 1e-9))
 	fmt.Fprintf(w, "measured up/down asymmetry of the model: %.2f (0 = symmetric)\n",
 		crossbar.MeasureAsymmetry(crossbar.RRAM(), 100, seed))
+
+	// The other §II-B synapses next to RRAM. Each device ramps up from its
+	// fresh state for as many pulses as would cover 90% of its upper range
+	// at its mean step, so a linear device never reaches its hard bound:
+	// soft-bounds RRAM and FeFET saturate, ECRAM steps almost linearly and
+	// symmetrically and reads a ratio near 1.
+	fmt.Fprintf(w, "\n%-16s %6s %10s %17s\n", "device", "pulses", "asymmetry", "saturation ratio")
+	for _, m := range []crossbar.Model{crossbar.RRAM(), crossbar.FeFET(), crossbar.ECRAM()} {
+		_, wmax := m.WeightBounds()
+		n := int(0.9 * wmax / m.MeanStep())
+		first, last := saturation(crossbar.PulseResponse(m, 1, n, 0, seed), n)
+		fmt.Fprintf(w, "%-16s %6d %10.2f %16.1fx\n",
+			m.Name(), n, crossbar.MeasureAsymmetry(m, 100, seed), first/math.Max(last, 1e-9))
+	}
 	return nil
+}
+
+// saturation returns how far the first and the last decile of a trace's
+// first potentiation ramp of pulses steps move the weight.
+func saturation(trace []float64, pulses int) (first, last float64) {
+	return trace[pulses/10-1] - trace[0], trace[pulses-1] - trace[pulses-1-pulses/10]
 }
 
 func runC1(w io.Writer, seed uint64, quick bool) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/cam"
 	"repro/internal/dataset"
@@ -133,7 +134,6 @@ func runF5(w io.Writer, seed uint64, quick bool) error {
 }
 
 func runC5(w io.Writer, seed uint64, quick bool) error {
-	_ = seed
 	engine := cam.Engine{Tech: cam.CMOS16T(), Geo: cam.DefaultGeometry()}
 	gpu := perfmodel.DefaultGPU()
 	sizes := []int{512, 2048, 8192, 65536}
@@ -150,6 +150,32 @@ func runC5(w io.Writer, seed uint64, quick bool) error {
 	}
 	fmt.Fprintf(w, "\n(LSH signature cost equals the dense layer it replaces: %d MACs)\n",
 		lsh.NewHasher(64, 128, rngutil.New(1)).MACsPerSignature())
+
+	// k-NN retrieval: binary match comparators (§IV-B.1) rank one
+	// neighbour per search; degree-of-match sensing (§IV-B.2) reads every
+	// row's mismatch count in one search and returns the same neighbours.
+	const rows, width, k = 512, 64, 5
+	t := cam.New(width)
+	rng := rngutil.New(seed).Child("knn")
+	for i := 0; i < rows; i++ {
+		t.Store(cam.RowFromUint(rng.BernoulliMask(0.5, width), width))
+	}
+	q := cam.RowFromUint(rng.BernoulliMask(0.5, width), width)
+	binary := t.KNearestBinary(q, k)
+	nBinary := t.Searches
+	degree := t.KNearestDegree(q, k)
+	nDegree := t.Searches - nBinary
+	one := engine.SearchCost(rows, width)
+	fmt.Fprintf(w, "\nk-NN, k=%d of %d %d-bit rows: both modes return the same neighbours: %v\n",
+		k, rows, width, slices.Equal(binary, degree))
+	fmt.Fprintf(w, "%-18s %9s %12s %12s\n", "mode", "searches", "latency", "energy")
+	for _, r := range []struct {
+		name     string
+		searches int64
+	}{{"binary comparator", nBinary}, {"degree-of-match", nDegree}} {
+		fmt.Fprintf(w, "%-18s %9d %11.3gs %11.3gJ\n",
+			r.name, r.searches, float64(r.searches)*one.Latency, float64(r.searches)*one.Energy)
+	}
 	return nil
 }
 
