@@ -192,16 +192,6 @@ func BenchmarkMicroLSHSign(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroNTMSoftRead(b *testing.B) {
-	m := mann.NewNTMMemory(1024, 64)
-	w := make(tensor.Vector, 1024)
-	w.Fill(1.0 / 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Read(w)
-	}
-}
-
 func BenchmarkMicroRecsysInference(b *testing.B) {
 	rng := rngutil.New(5)
 	m := recsys.NewModel(recsys.RMCSmall(), rng.Child("model"))
@@ -243,6 +233,6 @@ func BenchmarkMicroQuantizeVec(b *testing.B) {
 func BenchmarkMicroGPUCostModel(b *testing.B) {
 	g := perfmodel.DefaultGPU()
 	for i := 0; i < b.N; i++ {
-		g.MatVec(4096, 128)
+		g.Kernel(2*4096*128, 4*(4096*128+4096+128))
 	}
 }

@@ -93,11 +93,10 @@ func DefaultOptions(model crossbar.Model, mode Mode) Options {
 // effects (drift) and maintenance (PCM reset) can be applied globally, the
 // way a chip controller would.
 type Session struct {
-	opts      Options
-	rng       *rngutil.Source
-	arrays    []*crossbar.Array
-	hook      crossbar.FaultHook
-	residuals []float64
+	opts   Options
+	rng    *rngutil.Source
+	arrays []*crossbar.Array
+	hook   crossbar.FaultHook
 }
 
 // NewSession creates a training session.
@@ -120,11 +119,6 @@ func (s *Session) AttachHook(hook crossbar.FaultHook) {
 		a.SetFaultHook(hook)
 	}
 }
-
-// ProgramResiduals reports the mean-absolute programming residual of each
-// array initialization performed so far, in creation order — nonzero
-// residuals reveal write failures and stuck devices at program time.
-func (s *Session) ProgramResiduals() []float64 { return s.residuals }
 
 // AdvanceTime applies dt seconds of device drift to every array.
 func (s *Session) AdvanceTime(dt float64) {
@@ -164,8 +158,7 @@ func (s *Session) programRandomInit(a *crossbar.Array, ref *tensor.Matrix, label
 			target.Data[i] += ref.Data[i]
 		}
 	}
-	_, residual := a.Program(target, 4000)
-	s.residuals = append(s.residuals, residual)
+	a.Program(target, 4000)
 }
 
 // Factory returns an nn.MatFactory that builds weight storage according to

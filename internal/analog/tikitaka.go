@@ -88,14 +88,4 @@ func (t *tikiTakaMat) Update(scale float64, u, v tensor.Vector) {
 	t.nextCol = (t.nextCol + 1) % t.Cols()
 }
 
-// EffectiveWeights returns the logical weight matrix C + γ·A.
-func (t *tikiTakaMat) EffectiveWeights() *tensor.Matrix {
-	w := t.c.EffectiveWeights()
-	aw := t.a.EffectiveWeights()
-	for i := range w.Data {
-		w.Data[i] += t.gamma * aw.Data[i]
-	}
-	return w
-}
-
 var _ nn.BackwardSkipper = (*tikiTakaMat)(nil)

@@ -60,13 +60,4 @@ func (z *zeroShiftedMat) Update(scale float64, u, v tensor.Vector) {
 	z.a.Update(scale, u, v)
 }
 
-// EffectiveWeights returns the logical weight matrix A − R.
-func (z *zeroShiftedMat) EffectiveWeights() *tensor.Matrix {
-	w := z.a.Weights()
-	for i := range w.Data {
-		w.Data[i] -= z.ref.Data[i]
-	}
-	return w
-}
-
 var _ nn.BackwardSkipper = (*zeroShiftedMat)(nil)

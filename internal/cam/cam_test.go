@@ -2,7 +2,6 @@ package cam
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/perfmodel"
 )
@@ -14,11 +13,7 @@ func TestTritString(t *testing.T) {
 }
 
 func TestRowBuilders(t *testing.T) {
-	r := RowFromBits([]bool{true, false, true})
-	if r[0] != One || r[1] != Zero || r[2] != One {
-		t.Fatalf("RowFromBits = %v", r)
-	}
-	r = RowFromUint(0b101, 4)
+	r := RowFromUint(0b101, 4)
 	if r[0] != One || r[1] != Zero || r[2] != One || r[3] != Zero {
 		t.Fatalf("RowFromUint = %v", r)
 	}
@@ -95,15 +90,6 @@ func TestStoreWidthPanics(t *testing.T) {
 	tc.Store(Row{One})
 }
 
-func TestGrayRoundtrip(t *testing.T) {
-	f := func(v uint32) bool {
-		return GrayDecode(GrayEncode(uint64(v))) == uint64(v)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // The defining Gray property: consecutive codes differ in exactly one bit.
 func TestGrayAdjacency(t *testing.T) {
 	for v := uint64(0); v < 1024; v++ {
@@ -111,120 +97,6 @@ func TestGrayAdjacency(t *testing.T) {
 		if x == 0 || x&(x-1) != 0 {
 			t.Fatalf("gray(%d) and gray(%d) differ in != 1 bit", v, v+1)
 		}
-	}
-}
-
-// coveredValues enumerates which code-space values a set of ternary words
-// matches.
-func coveredValues(words []Row, width int) map[uint64]bool {
-	out := make(map[uint64]bool)
-	for v := uint64(0); v < 1<<uint(width); v++ {
-		row := GrayRow(v, width)
-		for _, w := range words {
-			if Mismatches(row, w) == 0 {
-				out[v] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Property: RangeWords covers exactly [lo, hi] — no more, no less.
-func TestRangeWordsExactCover(t *testing.T) {
-	const width = 6
-	f := func(a, b uint8) bool {
-		lo := uint64(a) % (1 << width)
-		hi := uint64(b) % (1 << width)
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		cov := coveredValues(RangeWords(lo, hi, width), width)
-		for v := uint64(0); v < 1<<width; v++ {
-			in := v >= lo && v <= hi
-			if cov[v] != in {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRangeWordsSingleValue(t *testing.T) {
-	words := RangeWords(13, 13, 6)
-	if len(words) != 1 {
-		t.Fatalf("single-value range should need 1 word, got %d", len(words))
-	}
-	cov := coveredValues(words, 6)
-	if len(cov) != 1 || !cov[13] {
-		t.Fatalf("covered = %v", cov)
-	}
-}
-
-func TestRangeWordsAlignedBlockIsOneWord(t *testing.T) {
-	// [16, 31] is an aligned 16-block: exactly one ternary word.
-	words := RangeWords(16, 31, 6)
-	if len(words) != 1 {
-		t.Fatalf("aligned block should need 1 word, got %d", len(words))
-	}
-}
-
-func TestRangeWordsPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { RangeWords(5, 3, 6) },
-		func() { RangeWords(0, 64, 6) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// Property: CubeQuery covers exactly the clipped L∞ ball.
-func TestCubeQueryCover(t *testing.T) {
-	const width = 6
-	f := func(v8, r8 uint8) bool {
-		v := uint64(v8) % (1 << width)
-		r := uint64(r8) % 8
-		cov := coveredValues(CubeQuery(v, r, width), width)
-		for x := uint64(0); x < 1<<width; x++ {
-			d := x - v
-			if x < v {
-				d = v - x
-			}
-			if cov[x] != (d <= r) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCubeQueryClipsAtBoundaries(t *testing.T) {
-	cov := coveredValues(CubeQuery(1, 5, 6), 6)
-	for x := uint64(0); x <= 6; x++ {
-		if !cov[x] {
-			t.Fatalf("value %d should be covered", x)
-		}
-	}
-	if cov[7] {
-		t.Fatal("value 7 should not be covered")
-	}
-	// Upper clip.
-	cov = coveredValues(CubeQuery(62, 5, 6), 6)
-	if !cov[63] || cov[56] {
-		t.Fatal("upper clip wrong")
 	}
 }
 
@@ -245,12 +117,8 @@ func TestSearchCostScaling(t *testing.T) {
 	}
 }
 
-func TestWriteCostAndTransistors(t *testing.T) {
+func TestTransistors(t *testing.T) {
 	e := Engine{Tech: FeFET2T(), Geo: DefaultGeometry()}
-	w := e.WriteCost(128)
-	if w.Energy <= 0 || w.Latency <= 0 {
-		t.Fatal("write cost must be positive")
-	}
 	if e.Transistors(512, 128) != 512*128*2 {
 		t.Fatal("transistor count wrong")
 	}

@@ -1,85 +1,7 @@
 package cam
 
-import "fmt"
-
 // GrayEncode returns the binary-reflected Gray code of v.
 func GrayEncode(v uint64) uint64 { return v ^ (v >> 1) }
 
-// GrayDecode inverts GrayEncode.
-func GrayDecode(g uint64) uint64 {
-	v := g
-	for shift := uint(1); shift < 64; shift <<= 1 {
-		v ^= v >> shift
-	}
-	return v
-}
-
 // GrayRow returns the Gray code of v as a width-bit TCAM row.
 func GrayRow(v uint64, width int) Row { return RowFromUint(GrayEncode(v), width) }
-
-// alignedBlockWord returns the ternary query word matching exactly the
-// Gray-coded values in the aligned block [v &^ (2^k−1), v | (2^k−1)]: the
-// low k Gray bits become don't-cares. This relies on the BRGC prefix
-// property gray(v) >> k == gray(v >> k).
-func alignedBlockWord(v uint64, k, width int) Row {
-	r := GrayRow(v, width)
-	for i := 0; i < k && i < width; i++ {
-		r[i] = X
-	}
-	return r
-}
-
-// RangeWords implements the RENE-style range encoding (paper refs. [53],
-// [54]): it covers the integer range [lo, hi] (inclusive, within a
-// width-bit code space) exactly with a minimal greedy set of aligned
-// Gray-coded blocks, each expressed as one ternary query word. Searching
-// the words in turn (or loading them into spare query slots) matches
-// exactly the stored codes inside the range.
-func RangeWords(lo, hi uint64, width int) []Row {
-	if hi < lo {
-		panic(fmt.Sprintf("cam: bad range [%d,%d]", lo, hi))
-	}
-	max := uint64(1)<<uint(width) - 1
-	if hi > max {
-		panic(fmt.Sprintf("cam: range end %d exceeds %d-bit space", hi, width))
-	}
-	var words []Row
-	v := lo
-	for {
-		// Largest aligned block starting at v that fits within [v, hi].
-		k := 0
-		for k < width {
-			blockSize := uint64(1) << uint(k+1)
-			if v&(blockSize-1) != 0 { // not aligned to the larger block
-				break
-			}
-			if v+blockSize-1 > hi { // larger block overshoots
-				break
-			}
-			k++
-		}
-		words = append(words, alignedBlockWord(v, k, width))
-		next := v + uint64(1)<<uint(k)
-		if next > hi || next == 0 { // done (or wrapped)
-			break
-		}
-		v = next
-	}
-	return words
-}
-
-// CubeQuery builds the ternary query words covering the L∞ ball of the
-// given radius around value in a width-bit code space, clipping at the
-// space boundaries — the "cube of increasing sizes" of §IV-B.1.
-func CubeQuery(value uint64, radius uint64, width int) []Row {
-	max := uint64(1)<<uint(width) - 1
-	lo := uint64(0)
-	if value > radius {
-		lo = value - radius
-	}
-	hi := value + radius
-	if hi > max || hi < value { // clip and guard overflow
-		hi = max
-	}
-	return RangeWords(lo, hi, width)
-}

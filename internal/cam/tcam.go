@@ -3,9 +3,9 @@
 // memory-augmented networks with a single parallel in-memory search. It
 // provides the functional array (ternary storage, exact-match and
 // best-match search with match-line degree-of-match sensing), the
-// binary-reflected-Gray-code range encoding of RENE (paper refs. [53],
-// [54]) for L∞ cube queries, and cell-technology cost models (16T CMOS vs
-// 2-FeFET, paper ref. [9]) for the energy/latency tables.
+// binary-reflected Gray code the few-shot TCAM keys use, and
+// cell-technology cost models (16T CMOS vs 2-FeFET, paper ref. [9]) for
+// the energy/latency tables.
 package cam
 
 import "fmt"
@@ -36,17 +36,6 @@ func (t Trit) String() string {
 
 // Row is one stored TCAM word.
 type Row []Trit
-
-// RowFromBits builds a fully specified row from booleans.
-func RowFromBits(bits []bool) Row {
-	r := make(Row, len(bits))
-	for i, b := range bits {
-		if b {
-			r[i] = One
-		}
-	}
-	return r
-}
 
 // RowFromUint builds a width-bit row from the low bits of v (bit 0 first).
 func RowFromUint(v uint64, width int) Row {

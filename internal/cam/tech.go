@@ -27,9 +27,6 @@ type CellTech struct {
 	SLTimePerRow float64
 	// SenseTime is the match-line sense phase (s).
 	SenseTime float64
-	// WriteEnergyPerCell / WriteTimePerWord price storing one row.
-	WriteEnergyPerCell float64
-	WriteTimePerWord   float64
 }
 
 // CMOS16T returns the conventional 16-transistor CMOS TCAM cell.
@@ -41,8 +38,6 @@ func CMOS16T() CellTech {
 		PrechargeTime:       0.8e-9,
 		SLTimePerRow:        2.0e-12,
 		SenseTime:           0.3e-9,
-		WriteEnergyPerCell:  8e-12,
-		WriteTimePerWord:    1e-9,
 	}
 }
 
@@ -57,8 +52,6 @@ func FeFET2T() CellTech {
 		PrechargeTime:       0.8e-9,
 		SLTimePerRow:        1.62e-12,
 		SenseTime:           0.3e-9,
-		WriteEnergyPerCell:  12e-12, // FE polarization write
-		WriteTimePerWord:    5e-9,
 	}
 }
 
@@ -107,13 +100,6 @@ func (e Engine) SearchCost(rows, width int) *perfmodel.Cost {
 		c.Add("tcam.combine", levels, e.Tech.SearchEnergyPerCell, e.Geo.CombineTime)
 		c.Energy += float64(banks-1) * e.Geo.CombineEnergy
 	}
-	return c
-}
-
-// WriteCost returns the cost of storing one width-bit row.
-func (e Engine) WriteCost(width int) *perfmodel.Cost {
-	c := perfmodel.NewCost()
-	c.Add("tcam.write", 1, float64(width)*e.Tech.WriteEnergyPerCell, e.Tech.WriteTimePerWord)
 	return c
 }
 

@@ -201,7 +201,7 @@ func TestWALTornTail(t *testing.T) {
 	if err := os.WriteFile(s.walPath(), raw[:len(raw)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, err := s.WAL()
+	recs, torn, err := readWAL(s.walPath())
 	if err != nil {
 		t.Fatal(err)
 	}

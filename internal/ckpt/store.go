@@ -39,9 +39,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, Keep: 2}, nil
 }
 
-// Dir returns the managed directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) walPath() string { return filepath.Join(s.dir, walName) }
 
 // fileFor names the checkpoint file of an epoch; zero-padding keeps
@@ -54,10 +51,6 @@ func (s *Store) fileFor(epoch int) string { return fmt.Sprintf("ckpt-%06d.ckpt",
 func (s *Store) AppendStep(epoch int, loss float64, pulses int64) error {
 	return s.logWAL(WalRecord{Type: RecEpoch, Epoch: epoch, Loss: loss, Pulses: pulses})
 }
-
-// WAL returns the log's intact records and whether a torn tail was
-// discarded.
-func (s *Store) WAL() ([]WalRecord, bool, error) { return readWAL(s.walPath()) }
 
 // Save writes st as the newest checkpoint using the atomic protocol
 // documented on the package: temp write + fsync, WAL intent, rename +

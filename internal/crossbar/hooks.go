@@ -67,25 +67,6 @@ type FaultHook interface {
 	FilterAdvance(a *Array, dt float64) float64
 }
 
-// NopHook is a FaultHook that does nothing; embed it to implement only a
-// subset of the interface.
-type NopHook struct{}
-
-// BeginOp implements FaultHook.
-func (NopHook) BeginOp(*Array, OpKind) {}
-
-// FilterInput implements FaultHook.
-func (NopHook) FilterInput(*Array, OpKind, tensor.Vector) {}
-
-// FilterOutput implements FaultHook.
-func (NopHook) FilterOutput(*Array, OpKind, tensor.Vector) {}
-
-// FilterPulses implements FaultHook.
-func (NopHook) FilterPulses(_ *Array, _, _, k int, _ bool) int { return k }
-
-// FilterAdvance implements FaultHook.
-func (NopHook) FilterAdvance(_ *Array, dt float64) float64 { return dt }
-
 // SetFaultHook installs (or, with nil, removes) the array's fault hook.
 func (a *Array) SetFaultHook(h FaultHook) { a.hook = h }
 

@@ -51,10 +51,6 @@ type ProgramReport struct {
 	Stuck  int
 }
 
-// Converged reports whether every yielding device finished inside
-// tolerance.
-func (r ProgramReport) Converged() bool { return r.Failed == 0 }
-
 // ProgramVerify programs target into the array with bounded retries and
 // exponential pulse-budget backoff per ProgramPolicy. It is the remediated
 // write path of the fault-resilience study: under write failures or

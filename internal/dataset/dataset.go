@@ -89,23 +89,3 @@ func Digits(cfg DigitsConfig, rng *rngutil.Source) *Classification {
 	ds.Shuffle(rng.Child("shuffle"))
 	return ds
 }
-
-// TwoBlobs generates a trivially separable two-class dataset, useful for
-// smoke-testing training loops quickly.
-func TwoBlobs(n int, dim int, sep float64, rng *rngutil.Source) *Classification {
-	ds := &Classification{Classes: 2, Dim: dim}
-	for i := 0; i < n; i++ {
-		c := i % 2
-		x := make(tensor.Vector, dim)
-		center := sep
-		if c == 0 {
-			center = -sep
-		}
-		for j := range x {
-			x[j] = rng.Normal(center, 1)
-		}
-		ds.X = append(ds.X, x)
-		ds.Y = append(ds.Y, c)
-	}
-	return ds
-}

@@ -87,7 +87,11 @@ func TestDigitsNearestPrototypeSeparable(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	ds := TwoBlobs(100, 4, 2, rngutil.New(1))
+	ds := &Classification{Classes: 1, Dim: 1}
+	for i := 0; i < 100; i++ {
+		ds.X = append(ds.X, tensor.Vector{float64(i)})
+		ds.Y = append(ds.Y, 0)
+	}
 	train, test := ds.Split(0.8)
 	if train.Len() != 80 || test.Len() != 20 {
 		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
@@ -178,16 +182,6 @@ func TestCopyTask(t *testing.T) {
 	}
 }
 
-func TestAssocRecall(t *testing.T) {
-	task := NewAssocRecall(5, 8, rngutil.New(15))
-	if len(task.Keys) != 5 || len(task.Values) != 5 {
-		t.Fatal("wrong item count")
-	}
-	if task.QueryIdx < 0 || task.QueryIdx >= 5 {
-		t.Fatal("query index out of range")
-	}
-}
-
 func TestClickLogShapes(t *testing.T) {
 	cfg := DefaultClickLog()
 	log := NewClickLog(cfg, 100, rngutil.New(17))
@@ -221,10 +215,13 @@ func TestClickLogZipfSkew(t *testing.T) {
 	// Under Zipf, the most popular row should absorb far more than uniform share.
 	cfg := DefaultClickLog()
 	log := NewClickLog(cfg, 2000, rngutil.New(19))
-	trace := log.AccessTrace(0)
 	counts := map[int]int{}
-	for _, ix := range trace {
-		counts[ix]++
+	accesses := 0
+	for _, s := range log.Samples {
+		for _, ix := range s.Sparse[0] {
+			counts[ix]++
+			accesses++
+		}
 	}
 	max := 0
 	for _, c := range counts {
@@ -232,7 +229,7 @@ func TestClickLogZipfSkew(t *testing.T) {
 			max = c
 		}
 	}
-	uniformShare := float64(len(trace)) / float64(cfg.TableSizes[0])
+	uniformShare := float64(accesses) / float64(cfg.TableSizes[0])
 	if float64(max) < 10*uniformShare {
 		t.Fatalf("access pattern not skewed: max=%d uniform=%v", max, uniformShare)
 	}
@@ -269,14 +266,6 @@ func TestGlyphUniverse(t *testing.T) {
 		if v < 0 || v > 1 {
 			t.Fatalf("pixel %v out of [0,1]", v)
 		}
-	}
-}
-
-func TestGlyphEpisode(t *testing.T) {
-	u := NewGlyphUniverse(DefaultGlyphs(), rngutil.New(25))
-	s, sl, q, ql := u.GlyphEpisode(5, 2, 3)
-	if len(s) != 10 || len(sl) != 10 || len(q) != 15 || len(ql) != 15 {
-		t.Fatalf("episode sizes %d %d %d %d", len(s), len(sl), len(q), len(ql))
 	}
 }
 

@@ -16,17 +16,7 @@ type FewShotConfig struct {
 	Classes int     // size of the class universe (Omniglot has 1623)
 	Dim     int     // feature dimensionality of the embeddings
 	Noise   float64 // within-class perturbation std (per dimension)
-
-	// NuisanceDims appends distractor dimensions carrying no class signal,
-	// only noise of std NuisanceStd. Raw cosine retrieval degrades with
-	// nuisance energy; a trained embedding learns to suppress it — the
-	// meta-learning ("learning to learn") setting of §I.
-	NuisanceDims int
-	NuisanceStd  float64
 }
-
-// TotalDim reports the full sample dimensionality including nuisance.
-func (c FewShotConfig) TotalDim() int { return c.Dim + c.NuisanceDims }
 
 // DefaultFewShot matches the calibration used by experiments C4/F5: with
 // Noise 0.75 and Dim 64, fp32 cosine 5-way 1-shot with a 512-entry memory
@@ -62,17 +52,12 @@ func NewFewShotUniverse(cfg FewShotConfig, rng *rngutil.Source) *FewShotUniverse
 	return u
 }
 
-// Sample draws one example of class c: prototype + noise in the signal
-// dimensions, pure noise in any nuisance dimensions.
+// Sample draws one example of class c: prototype + per-dimension noise.
 func (u *FewShotUniverse) Sample(c int, rng *rngutil.Source) tensor.Vector {
-	x := make(tensor.Vector, u.Cfg.TotalDim())
-	copy(x, u.Protos[c])
+	x := u.Protos[c].Clone()
 	perDim := u.Cfg.Noise / math.Sqrt(float64(u.Cfg.Dim))
 	for i := 0; i < u.Cfg.Dim; i++ {
 		x[i] += rng.Normal(0, perDim)
-	}
-	for i := u.Cfg.Dim; i < len(x); i++ {
-		x[i] = rng.Normal(0, u.Cfg.NuisanceStd)
 	}
 	return x
 }
@@ -123,22 +108,4 @@ func CopyTask(seqLen, bits int, rng *rngutil.Source) []tensor.Vector {
 		seq[t] = v
 	}
 	return seq
-}
-
-// AssocRecallTask generates item/query pairs for the associative-recall
-// MANN benchmark: nItems random (key, value) bit-vector pairs; the task is
-// to return the value bound to a queried key.
-type AssocRecallTask struct {
-	Keys, Values []tensor.Vector
-	QueryIdx     int
-}
-
-// NewAssocRecall draws an associative-recall instance.
-func NewAssocRecall(nItems, bits int, rng *rngutil.Source) *AssocRecallTask {
-	t := &AssocRecallTask{QueryIdx: rng.Intn(nItems)}
-	for i := 0; i < nItems; i++ {
-		t.Keys = append(t.Keys, CopyTask(1, bits, rng)[0])
-		t.Values = append(t.Values, CopyTask(1, bits, rng)[0])
-	}
-	return t
 }

@@ -82,20 +82,3 @@ func (u *GlyphUniverse) Sample(c int) *nn.Image {
 	}
 	return out
 }
-
-// GlyphEpisode draws an N-way K-shot episode of glyph images with nQuery
-// queries per class; labels are episode-local.
-func (u *GlyphUniverse) GlyphEpisode(nWay, kShot, nQuery int) (support []*nn.Image, supportLabels []int, query []*nn.Image, queryLabels []int) {
-	perm := u.rng.Perm(u.Cfg.Classes)[:nWay]
-	for local, c := range perm {
-		for k := 0; k < kShot; k++ {
-			support = append(support, u.Sample(c))
-			supportLabels = append(supportLabels, local)
-		}
-		for q := 0; q < nQuery; q++ {
-			query = append(query, u.Sample(c))
-			queryLabels = append(queryLabels, local)
-		}
-	}
-	return support, supportLabels, query, queryLabels
-}

@@ -93,16 +93,6 @@ func NewClickLog(cfg ClickLogConfig, n int, rng *rngutil.Source) *ClickLog {
 	return log
 }
 
-// AccessTrace flattens the log into the per-table sequence of row indices
-// touched, for cache-locality simulation.
-func (l *ClickLog) AccessTrace(table int) []int {
-	var trace []int
-	for _, s := range l.Samples {
-		trace = append(trace, s.Sparse[table]...)
-	}
-	return trace
-}
-
 // CTR returns the fraction of positive labels in the log.
 func (l *ClickLog) CTR() float64 {
 	if len(l.Samples) == 0 {

@@ -20,9 +20,6 @@ type Diagnosis struct {
 	Reads int
 }
 
-// DeadCount reports the total confirmed-dead crosspoints.
-func (d Diagnosis) DeadCount() int { return len(d.Dead) }
-
 // Detect locates dead crosspoints on a against the intended weight matrix
 // want using the read path only — the way a chip controller must, since it
 // cannot inspect device state directly. It is a two-level scheme:

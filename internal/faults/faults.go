@@ -136,15 +136,6 @@ func (e *Engine) Attach(a *crossbar.Array) {
 // Stats returns a snapshot of the injected-fault counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Plan returns the engine's fault plan.
-func (e *Engine) Plan() Plan { return e.plan }
-
-// OpenLines reports how many row and column lines have opened on a.
-func (e *Engine) OpenLines(a *crossbar.Array) (rows, cols int) {
-	s := e.stateOf(a)
-	return len(s.openRows), len(s.openCols)
-}
-
 func (e *Engine) stateOf(a *crossbar.Array) *arrayState {
 	s, ok := e.state[a]
 	if !ok {

@@ -111,7 +111,7 @@ func TestLineOpensMaskEverything(t *testing.T) {
 	for op := 0; op < 200; op++ {
 		a.Forward(x)
 	}
-	rows, cols := e.OpenLines(a)
+	rows, cols := openLines(e, a)
 	if rows != 4 || cols != 4 {
 		t.Fatalf("after 200 certain opens all 8 lines should be open, got %d rows %d cols", rows, cols)
 	}
@@ -149,7 +149,7 @@ func TestWriteFailuresDropPulses(t *testing.T) {
 	if e.Stats().DroppedWrites == 0 {
 		t.Fatal("write failures never fired")
 	}
-	if !rep.Converged() {
+	if rep.Failed != 0 {
 		t.Fatalf("retry should out-persist 50%% write drops: %+v", rep)
 	}
 }
@@ -162,8 +162,8 @@ func TestDetectFindsPlantedDeadCells(t *testing.T) {
 	a.FreezeAt(2, 3, target.At(2, 3)+0.7)
 	a.FreezeAt(5, 1, target.At(5, 1)-0.6)
 	diag := Detect(a, target, 0)
-	if diag.DeadCount() != 2 {
-		t.Fatalf("planted 2 dead cells, detected %d: %+v", diag.DeadCount(), diag.Dead)
+	if len(diag.Dead) != 2 {
+		t.Fatalf("planted 2 dead cells, detected %d: %+v", len(diag.Dead), diag.Dead)
 	}
 	found := map[[2]int]bool{}
 	for _, d := range diag.Dead {
@@ -186,7 +186,7 @@ func TestDetectIgnoresSaturatedTargets(t *testing.T) {
 	target.Set(1, 2, 3) // beyond WMax: representation error, not a fault
 	a.Program(target, 4000)
 	diag := Detect(a, target, 0)
-	if diag.DeadCount() != 0 {
+	if len(diag.Dead) != 0 {
 		t.Fatalf("saturated target flagged as dead: %+v", diag.Dead)
 	}
 }
@@ -246,8 +246,8 @@ func TestRemappedArrayGeometryAndGating(t *testing.T) {
 	if r.Arr.Cols() != 5 {
 		t.Fatalf("physical columns %d, want 5", r.Arr.Cols())
 	}
-	if r.SparesLeft() != 2 {
-		t.Fatalf("spares %d", r.SparesLeft())
+	if len(r.spares) != 2 {
+		t.Fatalf("spares %d", len(r.spares))
 	}
 	target := randomTarget(4, 3, 0.3, 92)
 	r.Program(target, crossbar.DefaultProgramPolicy())
@@ -287,8 +287,8 @@ func TestFaultyTCAMRedundancyHarmlessAtZeroRate(t *testing.T) {
 		r1.Store(v, c)
 		r2.Store(v, c)
 	}
-	if r1.RowsUsed() != 5 || r2.RowsUsed() != 10 {
-		t.Fatalf("rows used %d / %d", r1.RowsUsed(), r2.RowsUsed())
+	if r1.next != 5 || r2.next != 10 {
+		t.Fatalf("rows used %d / %d", r1.next, r2.next)
 	}
 	for c, v := range stored {
 		if g1, g2 := r1.Classify(v), r2.Classify(v); g1 != g2 || g1 != c {
@@ -311,7 +311,7 @@ func TestFaultyTCAMFaultMapSurvivesReset(t *testing.T) {
 	}
 	r.Store(make(tensor.Vector, 8), 0)
 	r.Reset()
-	if r.RowsUsed() != 0 {
+	if r.next != 0 {
 		t.Fatal("reset should clear contents")
 	}
 	for i, f := range r.faultMap {
@@ -387,4 +387,10 @@ func maxAbsDiff(a, b tensor.Vector) float64 {
 		}
 	}
 	return worst
+}
+
+// openLines reports how many row and column lines have opened on a.
+func openLines(e *Engine, a *crossbar.Array) (rows, cols int) {
+	s := e.stateOf(a)
+	return len(s.openRows), len(s.openCols)
 }

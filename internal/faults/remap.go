@@ -55,9 +55,6 @@ func (r *RemappedArray) Rows() int { return r.Arr.Rows() }
 // Cols implements nn.Mat (the logical width).
 func (r *RemappedArray) Cols() int { return r.logical }
 
-// SparesLeft reports the remaining redundant columns.
-func (r *RemappedArray) SparesLeft() int { return len(r.spares) }
-
 // OpOrderPinned implements nn.OrderPinned by delegating to the physical
 // array (pinned while a fault hook is attached).
 func (r *RemappedArray) OpOrderPinned() bool { return r.Arr.OpOrderPinned() }
@@ -137,18 +134,6 @@ func (r *RemappedArray) PhysTarget(target *tensor.Matrix) *tensor.Matrix {
 // retry and backoff.
 func (r *RemappedArray) Program(target *tensor.Matrix, pol crossbar.ProgramPolicy) crossbar.ProgramReport {
 	return r.Arr.ProgramVerify(r.PhysTarget(target), pol)
-}
-
-// Weights returns the logical weight view.
-func (r *RemappedArray) Weights() *tensor.Matrix {
-	phys := r.Arr.Weights()
-	out := tensor.NewMatrix(r.Arr.Rows(), r.logical)
-	for i := 0; i < out.Rows; i++ {
-		for j, p := range r.colOf {
-			out.Set(i, j, phys.At(i, p))
-		}
-	}
-	return out
 }
 
 // Residual reports the mean |weight − target| over mapped, yielding

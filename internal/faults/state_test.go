@@ -94,8 +94,8 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		t.Fatalf("stats diverged:\n%+v\nvs\n%+v", e.Stats(), f.Stats())
 	}
 	for i, pair := range [][2]*crossbar.Array{{a1, b1}, {a2, b2}} {
-		ra, ca := e.OpenLines(pair[0])
-		rb, cb := f.OpenLines(pair[1])
+		ra, ca := openLines(e, pair[0])
+		rb, cb := openLines(f, pair[1])
 		if ra != rb || ca != cb {
 			t.Fatalf("array %d open lines diverged: (%d,%d) vs (%d,%d)", i, ra, ca, rb, cb)
 		}

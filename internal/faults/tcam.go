@@ -139,7 +139,4 @@ func (r *FaultyLSHRetriever) Classify(q tensor.Vector) int {
 // searches).
 func (r *FaultyLSHRetriever) Searches() int64 { return r.searches + r.tcam.Searches }
 
-// RowsUsed reports the physical rows consumed since the last Reset.
-func (r *FaultyLSHRetriever) RowsUsed() int { return r.next }
-
 var _ mann.Retriever = (*FaultyLSHRetriever)(nil)

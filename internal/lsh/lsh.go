@@ -8,7 +8,6 @@ package lsh
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
@@ -25,19 +24,6 @@ func (s Signature) Get(i int) bool { return s.Words[i/64]&(1<<uint(i%64)) != 0 }
 
 // set sets bit i.
 func (s Signature) set(i int) { s.Words[i/64] |= 1 << uint(i%64) }
-
-// Hamming returns the Hamming distance between two signatures of equal
-// length; it panics on length mismatch.
-func Hamming(a, b Signature) int {
-	if a.Bits != b.Bits {
-		panic(fmt.Sprintf("lsh: signature length mismatch %d vs %d", a.Bits, b.Bits))
-	}
-	d := 0
-	for w := range a.Words {
-		d += bits.OnesCount64(a.Words[w] ^ b.Words[w])
-	}
-	return d
-}
 
 // Hasher maps feature vectors to binary signatures using random projection
 // hyperplanes. In the few-shot pipeline of Fig. 5 it replaces the CNN's

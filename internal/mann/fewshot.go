@@ -148,9 +148,6 @@ func (r *LSHRetriever) Classify(q tensor.Vector) int {
 	return r.labels[idx]
 }
 
-// Searches reports the TCAM search count consumed so far.
-func (r *LSHRetriever) Searches() int64 { return r.TCAM.Searches }
-
 // CubeRetriever implements the RENE-style expanding-cube search of
 // §IV-B.1: feature vectors are quantized, Gray-coded, and stored in a
 // TCAM; a query issues L∞ cube searches of growing radius until candidates

@@ -51,18 +51,6 @@ func TestNearestAllMetrics(t *testing.T) {
 	}
 }
 
-func TestTopKOrdering(t *testing.T) {
-	keys := []tensor.Vector{{0, 0}, {1, 0}, {5, 0}, {0.1, 0}}
-	q := tensor.Vector{0, 0}
-	top := L2.TopK(q, keys, 3)
-	if len(top) != 3 || top[0] != 0 || top[1] != 3 || top[2] != 1 {
-		t.Fatalf("TopK = %v", top)
-	}
-	if got := L2.TopK(q, keys, 10); len(got) != 4 {
-		t.Fatalf("TopK with k>n = %v", got)
-	}
-}
-
 func TestKVMemoryBasics(t *testing.T) {
 	m := NewKVMemory(3, Cosine)
 	if m.Read(tensor.Vector{1, 0}) != -1 {
@@ -72,8 +60,8 @@ func TestKVMemoryBasics(t *testing.T) {
 	if m.Read(tensor.Vector{0.9, 0.1}) != 7 {
 		t.Fatal("retrieval failed")
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
+	if len(m.Keys) != 1 {
+		t.Fatalf("Len = %d", len(m.Keys))
 	}
 }
 
@@ -81,8 +69,8 @@ func TestKVMemoryRefreshSameClass(t *testing.T) {
 	m := NewKVMemory(4, Cosine)
 	m.Write(tensor.Vector{1, 0}, 1)
 	m.Write(tensor.Vector{0.8, 0.2}, 1) // same class, near: refresh not insert
-	if m.Len() != 1 {
-		t.Fatalf("refresh should not grow memory: len=%d", m.Len())
+	if len(m.Keys) != 1 {
+		t.Fatalf("refresh should not grow memory: len=%d", len(m.Keys))
 	}
 	// Key moved toward the new example.
 	if m.Keys[0][1] == 0 {
@@ -95,25 +83,11 @@ func TestKVMemoryEvictsOldest(t *testing.T) {
 	m.Write(tensor.Vector{0, 0}, 0)
 	m.Write(tensor.Vector{10, 10}, 1)
 	m.Write(tensor.Vector{-10, 10}, 2) // evicts class 0 (oldest)
-	if m.Len() != 2 {
-		t.Fatalf("capacity exceeded: %d", m.Len())
+	if len(m.Keys) != 2 {
+		t.Fatalf("capacity exceeded: %d", len(m.Keys))
 	}
 	if m.Read(tensor.Vector{0, 0}) == 0 {
 		t.Fatal("oldest entry should have been evicted")
-	}
-}
-
-func TestKVMemoryReadKMajority(t *testing.T) {
-	m := NewKVMemory(8, L2)
-	m.Write(tensor.Vector{0, 0}, 5)
-	m.Write(tensor.Vector{0.1, 0}, 5)
-	m.Write(tensor.Vector{0.2, 0}, 9)
-	if got := m.ReadK(tensor.Vector{0.05, 0}, 3); got != 5 {
-		t.Fatalf("ReadK = %d, want majority 5", got)
-	}
-	empty := NewKVMemory(2, L2)
-	if empty.ReadK(tensor.Vector{0, 0}, 3) != -1 {
-		t.Fatal("empty ReadK should be -1")
 	}
 }
 
@@ -124,101 +98,6 @@ func TestKVMemoryCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewKVMemory(0, Cosine)
-}
-
-func TestNTMContentAddressing(t *testing.T) {
-	m := NewNTMMemory(4, 3)
-	copy(m.M.Row(0), tensor.Vector{1, 0, 0})
-	copy(m.M.Row(1), tensor.Vector{0, 1, 0})
-	copy(m.M.Row(2), tensor.Vector{0, 0, 1})
-	copy(m.M.Row(3), tensor.Vector{1, 1, 0})
-	w := m.ContentWeights(tensor.Vector{1, 0, 0}, 20)
-	if w.ArgMax() != 0 {
-		t.Fatalf("content weights should peak at row 0: %v", w)
-	}
-	if math.Abs(w.Sum()-1) > 1e-9 {
-		t.Fatal("weights must be a distribution")
-	}
-	if m.Ops.Similarities != 1 || m.Ops.MACs != 12 {
-		t.Fatalf("op accounting wrong: %+v", m.Ops)
-	}
-}
-
-func TestNTMSoftReadIsWeightedSum(t *testing.T) {
-	m := NewNTMMemory(2, 2)
-	copy(m.M.Row(0), tensor.Vector{1, 0})
-	copy(m.M.Row(1), tensor.Vector{0, 1})
-	r := m.Read(tensor.Vector{0.25, 0.75})
-	if math.Abs(r[0]-0.25) > 1e-9 || math.Abs(r[1]-0.75) > 1e-9 {
-		t.Fatalf("soft read = %v", r)
-	}
-}
-
-func TestNTMWriteEraseAdd(t *testing.T) {
-	m := NewNTMMemory(2, 2)
-	copy(m.M.Row(0), tensor.Vector{0.5, 0.5})
-	ones := tensor.Vector{1, 1}
-	m.Write(tensor.Vector{1, 0}, ones, tensor.Vector{0.9, 0.1})
-	if math.Abs(m.M.At(0, 0)-0.9) > 1e-9 || math.Abs(m.M.At(0, 1)-0.1) > 1e-9 {
-		t.Fatalf("full-weight write should replace: %v", m.M.Row(0))
-	}
-	// Partial weight: convex blend.
-	m2 := NewNTMMemory(1, 1)
-	m2.M.Set(0, 0, 1)
-	m2.Write(tensor.Vector{0.5}, tensor.Vector{1}, tensor.Vector{0})
-	if math.Abs(m2.M.At(0, 0)-0.5) > 1e-9 {
-		t.Fatalf("half-weight erase wrong: %v", m2.M.At(0, 0))
-	}
-}
-
-func TestNTMAddressingInterpolationAndShift(t *testing.T) {
-	m := NewNTMMemory(4, 2)
-	prev := tensor.Vector{1, 0, 0, 0}
-	// Gate 0: ignore content, pure shift of prev by +1.
-	p := HeadParams{Key: tensor.Vector{1, 1}, Beta: 1, Gate: 0, Shift: tensor.Vector{0, 0, 1}, Gamma: 1}
-	w := m.Address(p, prev)
-	want := tensor.Vector{0, 1, 0, 0}
-	for i := range w {
-		if math.Abs(w[i]-want[i]) > 1e-9 {
-			t.Fatalf("shifted weights = %v, want %v", w, want)
-		}
-	}
-	// Sharpening concentrates a soft distribution.
-	soft := tensor.Vector{0.4, 0.3, 0.2, 0.1}
-	p2 := HeadParams{Key: tensor.Vector{1, 1}, Beta: 1, Gate: 0, Shift: tensor.Vector{0, 1, 0}, Gamma: 4}
-	w2 := m.Address(p2, soft)
-	if w2[0] <= soft[0] {
-		t.Fatal("gamma sharpening should concentrate mass")
-	}
-}
-
-func TestCopyMachineExactRecall(t *testing.T) {
-	rng := rngutil.New(3)
-	seq := dataset.CopyTask(8, 6, rng)
-	cm := NewCopyMachine(16, 6)
-	out := cm.Run(seq)
-	for t2, v := range out {
-		for j := range v {
-			if math.Abs(v[j]-seq[t2][j]) > 1e-6 {
-				t.Fatalf("recall mismatch at step %d: %v vs %v", t2, v, seq[t2])
-			}
-		}
-	}
-	// The copy machine must have exercised all three memory op kinds.
-	ops := cm.Mem.Ops
-	if ops.SoftReads == 0 || ops.SoftWrites == 0 {
-		t.Fatalf("ops not counted: %+v", ops)
-	}
-}
-
-func TestCopyMachineTooLongPanics(t *testing.T) {
-	cm := NewCopyMachine(2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cm.Run(make([]tensor.Vector, 3))
 }
 
 // --- Few-shot retrieval accuracy (C4 / F5 shape at test scale) ---

@@ -34,9 +34,6 @@ func NewKVMemory(capacity int, metric Metric) *KVMemory {
 	return &KVMemory{Capacity: capacity, Metric: metric}
 }
 
-// Len reports the number of stored entries.
-func (m *KVMemory) Len() int { return len(m.Keys) }
-
 // Write inserts (key, label). If the nearest stored key already has this
 // label, that entry is refreshed (moving-average key update, age reset);
 // otherwise a new entry is inserted, evicting the oldest when full.
@@ -76,24 +73,6 @@ func (m *KVMemory) Read(query tensor.Vector) int {
 		return -1
 	}
 	return m.Labels[n]
-}
-
-// ReadK returns the majority label among the k most similar entries (ties
-// broken toward the more similar entry), or -1 for an empty memory.
-func (m *KVMemory) ReadK(query tensor.Vector, k int) int {
-	idxs := m.Metric.TopK(query, m.Keys, k)
-	if len(idxs) == 0 {
-		return -1
-	}
-	votes := map[int]int{}
-	best, bestVotes := m.Labels[idxs[0]], 0
-	for _, i := range idxs {
-		votes[m.Labels[i]]++
-		if votes[m.Labels[i]] > bestVotes {
-			best, bestVotes = m.Labels[i], votes[m.Labels[i]]
-		}
-	}
-	return best
 }
 
 // LifelongAccuracy streams nClasses·perClass labelled examples through a

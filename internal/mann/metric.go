@@ -110,32 +110,3 @@ func nearestLinfL2(query tensor.Vector, keys []tensor.Vector) int {
 	}
 	return best
 }
-
-// TopK returns the indices of the k best-scoring keys, best first.
-func (m Metric) TopK(query tensor.Vector, keys []tensor.Vector, k int) []int {
-	type scored struct {
-		idx   int
-		score float64
-	}
-	top := make([]scored, 0, k+1)
-	for i, key := range keys {
-		s := m.Score(query, key)
-		pos := len(top)
-		for pos > 0 && top[pos-1].score < s {
-			pos--
-		}
-		if pos < k {
-			top = append(top, scored{})
-			copy(top[pos+1:], top[pos:])
-			top[pos] = scored{i, s}
-			if len(top) > k {
-				top = top[:k]
-			}
-		}
-	}
-	out := make([]int, len(top))
-	for i, s := range top {
-		out[i] = s.idx
-	}
-	return out
-}

@@ -472,3 +472,15 @@ func (m *TrainableNTM) CopyTaskLoss(payload []tensor.Vector, lr, clip float64) f
 	}
 	return loss
 }
+
+// cosGrad returns d cos(a,b) / da.
+func cosGrad(a, b tensor.Vector) tensor.Vector {
+	na := a.Norm2() + 1e-12
+	nb := b.Norm2() + 1e-12
+	cos := tensor.Dot(a, b) / (na * nb)
+	g := make(tensor.Vector, len(a))
+	for i := range g {
+		g[i] = b[i]/(na*nb) - cos*a[i]/(na*na)
+	}
+	return g
+}

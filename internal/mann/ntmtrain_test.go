@@ -168,3 +168,25 @@ func TestNTMCopyLossZeroLRDoesNotTrain(t *testing.T) {
 		}
 	}
 }
+
+func TestCosGradNumeric(t *testing.T) {
+	rng := rngutil.New(1)
+	a := make(tensor.Vector, 5)
+	b := make(tensor.Vector, 5)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+		b[i] = rng.NormFloat64()
+	}
+	g := cosGrad(a, b)
+	const h = 1e-6
+	for i := range a {
+		ap := a.Clone()
+		ap[i] += h
+		am := a.Clone()
+		am[i] -= h
+		num := (tensor.CosineSimilarity(ap, b) - tensor.CosineSimilarity(am, b)) / (2 * h)
+		if math.Abs(num-g[i]) > 1e-5 {
+			t.Fatalf("cosGrad[%d]: numeric %v vs analytic %v", i, num, g[i])
+		}
+	}
+}

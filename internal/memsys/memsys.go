@@ -1,15 +1,10 @@
-// Package memsys is a small memory-hierarchy simulator: a set-associative
-// LRU cache in front of a bandwidth/latency/energy DRAM model. It drives
-// the embedding-table locality studies of §V (irregular, Zipf-skewed
-// accesses against tables far larger than on-chip storage) and supplies the
-// DRAM side of the GPU baselines in §III–IV.
+// Package memsys is a small memory-hierarchy model: a set-associative LRU
+// cache that drives the embedding-table locality studies of §V (irregular,
+// Zipf-skewed accesses against tables far larger than on-chip storage), and
+// the DRAM parameters the near-memory-processing model of §V builds on.
 package memsys
 
-import (
-	"fmt"
-
-	"repro/internal/perfmodel"
-)
+import "fmt"
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
@@ -52,9 +47,6 @@ func NewCache(capacityBytes, ways, lineSize int) *Cache {
 	return &Cache{LineSize: lineSize, Ways: ways, Sets: sets, tags: make([][]uint64, sets)}
 }
 
-// CapacityBytes reports the total cache capacity.
-func (c *Cache) CapacityBytes() int { return c.Sets * c.Ways * c.LineSize }
-
 // Access touches the byte address and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.Stats.Accesses++
@@ -83,17 +75,10 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	c.tags = make([][]uint64, c.Sets)
-	c.Stats = CacheStats{}
-}
-
 // DRAM is a first-order main-memory model.
 type DRAM struct {
 	Bandwidth     float64 // bytes/s
 	AccessLatency float64 // seconds per independent access (row activation+CAS)
-	EnergyPerByte float64 // J/byte transferred
 }
 
 // DefaultDRAM returns DDR4-class parameters.
@@ -101,67 +86,5 @@ func DefaultDRAM() DRAM {
 	return DRAM{
 		Bandwidth:     25.6e9, // one DDR4-3200 channel
 		AccessLatency: 60e-9,  // ~60 ns loaded latency
-		EnergyPerByte: 20e-12, // ~20 pJ/byte incl. I/O
 	}
-}
-
-// Stream returns the cost of a sequential transfer of the given size:
-// one access latency plus bandwidth-limited streaming.
-func (d DRAM) Stream(bytes float64) *perfmodel.Cost {
-	c := perfmodel.NewCost()
-	c.Latency = d.AccessLatency + bytes/d.Bandwidth
-	c.Energy = bytes * d.EnergyPerByte
-	c.Ops["dram.bytes"] = int64(bytes)
-	c.Ops["dram.bursts"] = 1
-	return c
-}
-
-// RandomAccesses returns the cost of n independent random accesses of
-// touchBytes each (no spatial locality): each pays the access latency, with
-// up to parallelism accesses overlapped (memory-level parallelism).
-func (d DRAM) RandomAccesses(n int64, touchBytes, parallelism float64) *perfmodel.Cost {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	c := perfmodel.NewCost()
-	total := float64(n) * touchBytes
-	serialized := float64(n) / parallelism
-	c.Latency = serialized*d.AccessLatency + total/d.Bandwidth
-	c.Energy = total * d.EnergyPerByte
-	c.Ops["dram.bytes"] = int64(total)
-	c.Ops["dram.bursts"] = n
-	return c
-}
-
-// HierarchySim replays an address trace through the cache and prices the
-// misses on DRAM; hits are charged the given on-chip energy/latency.
-type HierarchySim struct {
-	Cache      *Cache
-	DRAM       DRAM
-	HitEnergy  float64 // J per cache hit (SRAM read)
-	HitLatency float64 // s per cache hit
-	MLP        float64 // memory-level parallelism for misses
-}
-
-// Replay runs the trace of byte addresses and returns the total cost plus
-// the hit rate over this trace.
-func (h *HierarchySim) Replay(addrs []uint64) (*perfmodel.Cost, float64) {
-	start := h.Cache.Stats
-	var misses int64
-	for _, a := range addrs {
-		if !h.Cache.Access(a) {
-			misses++
-		}
-	}
-	cost := perfmodel.NewCost()
-	hits := h.Cache.Stats.Hits - start.Hits
-	cost.Add("cache.hit", hits, h.HitEnergy, h.HitLatency)
-	miss := h.DRAM.RandomAccesses(misses, float64(h.Cache.LineSize), h.MLP)
-	cost.Merge(miss)
-	accessed := h.Cache.Stats.Accesses - start.Accesses
-	hr := 0.0
-	if accessed > 0 {
-		hr = float64(hits) / float64(accessed)
-	}
-	return cost, hr
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/crossbar"
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
 )
@@ -108,43 +107,5 @@ func TestConvNetBackwardMatchesFullBottom(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Proj.W.(*DenseMat).M.Data, got.Proj.W.(*DenseMat).M.Data) {
 		t.Fatal("projection differs from the full-backward reference")
-	}
-}
-
-// TestConvMatLearnMatchesBackward checks ConvMat.Learn against Backward on
-// crossbar storage: the array state after training (devices, mirror,
-// random-stream position, op counts) must be identical, with and without
-// read noise.
-func TestConvMatLearnMatchesBackward(t *testing.T) {
-	for _, noise := range []float64{0, 0.05} {
-		cfg := crossbar.DefaultConfig()
-		cfg.ReadNoise = noise
-		var arrays []*crossbar.Array
-		build := func() *ConvMat {
-			return NewConvMat(2, 3, 3, func(rows, cols int) Mat {
-				a := crossbar.NewArray(rows, cols, crossbar.RRAM(), cfg, rngutil.New(6))
-				arrays = append(arrays, a)
-				return a
-			})
-		}
-		ref, got := build(), build()
-		data := rngutil.New(2)
-		for step := 0; step < 4; step++ {
-			im := NewImage(2, 6, 6)
-			for i := range im.Data {
-				im.Data[i] = data.Uniform(-1, 1)
-			}
-			dout := NewImage(3, 4, 4)
-			for i := range dout.Data {
-				dout.Data[i] = data.Uniform(-1, 1)
-			}
-			ref.Forward(im)
-			got.Forward(im)
-			ref.Backward(dout, 0.1)
-			got.Learn(dout, 0.1)
-		}
-		if !reflect.DeepEqual(arrays[0].ExportState(), arrays[1].ExportState()) {
-			t.Fatalf("read noise %v: ConvMat.Learn left a different array state than Backward", noise)
-		}
 	}
 }

@@ -16,29 +16,6 @@ func CrossEntropy(probs tensor.Vector, label int) float64 {
 	return -math.Log(p)
 }
 
-// MSE returns the mean squared error between prediction and target.
-func MSE(pred, target tensor.Vector) float64 {
-	if len(pred) != len(target) {
-		panic("nn: MSE length mismatch")
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// MSEGrad returns d(MSE)/d(pred) = 2(pred-target)/n.
-func MSEGrad(pred, target tensor.Vector) tensor.Vector {
-	g := make(tensor.Vector, len(pred))
-	n := float64(len(pred))
-	for i := range pred {
-		g[i] = 2 * (pred[i] - target[i]) / n
-	}
-	return g
-}
-
 // BCE returns the element-wise mean binary cross-entropy between predicted
 // probabilities and 0/1 targets, with clamping for numerical safety. It is
 // the training loss of the click-through-rate models in §V.

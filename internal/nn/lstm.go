@@ -9,8 +9,9 @@ import (
 
 // LSTM is a single-layer long short-term memory network (Hochreiter &
 // Schmidhuber, the paper's ref. [51]) used as the recurrent controller of
-// the memory-augmented networks in §III. It supports stateful stepping for
-// inference and truncated BPTT for training.
+// the memory-augmented networks in §III. Its owner carries the recurrent
+// state and steps it with StepWithCache and StepBackward, so BPTT can run
+// through inputs that depend on the model's own previous outputs.
 type LSTM struct {
 	InSize, HiddenSize int
 
@@ -18,8 +19,6 @@ type LSTM struct {
 	Wx *tensor.Matrix // 4H × In
 	Wh *tensor.Matrix // 4H × H
 	B  tensor.Vector  // 4H
-
-	h, c tensor.Vector // current recurrent state
 }
 
 // StepCache holds the intermediates of one time step needed by BPTT.
@@ -43,26 +42,12 @@ func NewLSTM(inSize, hiddenSize int, rng *rngutil.Source) *LSTM {
 	for j := 0; j < hiddenSize; j++ {
 		l.B[hiddenSize+j] = 1 // forget gate bias
 	}
-	l.Reset()
 	return l
 }
 
-// Reset zeroes the recurrent state.
-func (l *LSTM) Reset() {
-	l.h = tensor.NewVector(l.HiddenSize)
-	l.c = tensor.NewVector(l.HiddenSize)
-}
-
-// State returns copies of the current hidden and cell state.
-func (l *LSTM) State() (h, c tensor.Vector) { return l.h.Clone(), l.c.Clone() }
-
-// Step advances the network one time step and returns the new hidden state.
-func (l *LSTM) Step(x tensor.Vector) tensor.Vector {
-	h, _, _ := l.step(x, l.h, l.c)
-	return h
-}
-
-func (l *LSTM) step(x, hPrev, cPrev tensor.Vector) (tensor.Vector, tensor.Vector, *StepCache) {
+// StepWithCache advances one time step from an explicit previous state and
+// returns the new state plus the cache needed by StepBackward.
+func (l *LSTM) StepWithCache(x, hPrev, cPrev tensor.Vector) (h, c tensor.Vector, cache *StepCache) {
 	if len(x) != l.InSize {
 		panic(fmt.Sprintf("nn: LSTM expects %d inputs, got %d", l.InSize, len(x)))
 	}
@@ -71,7 +56,7 @@ func (l *LSTM) step(x, hPrev, cPrev tensor.Vector) (tensor.Vector, tensor.Vector
 	z.Add(l.Wh.MatVec(hPrev))
 	z.Add(l.B)
 
-	cache := &StepCache{
+	cache = &StepCache{
 		x: x.Clone(), hPrev: hPrev.Clone(), cPrev: cPrev.Clone(),
 		i: make(tensor.Vector, H), f: make(tensor.Vector, H),
 		o: make(tensor.Vector, H), g: make(tensor.Vector, H),
@@ -87,17 +72,7 @@ func (l *LSTM) step(x, hPrev, cPrev tensor.Vector) (tensor.Vector, tensor.Vector
 		cache.tanc[j] = tensor.Tanh(cache.c[j])
 		cache.h[j] = cache.o[j] * cache.tanc[j]
 	}
-	l.h = cache.h.Clone()
-	l.c = cache.c.Clone()
 	return cache.h, cache.c, cache
-}
-
-// StepWithCache advances one time step from an explicit previous state and
-// returns the new state plus the cache needed by StepBackward — the entry
-// point for models (like the trainable NTM) whose per-step inputs depend on
-// their own previous outputs, making ForwardSeq unusable.
-func (l *LSTM) StepWithCache(x, hPrev, cPrev tensor.Vector) (h, c tensor.Vector, cache *StepCache) {
-	return l.step(x, hPrev, cPrev)
 }
 
 // StepBackward backpropagates one time step: given the step cache, the
@@ -144,35 +119,6 @@ func (l *LSTM) NewLSTMGrads() *LSTMGrads {
 		DWh: tensor.NewMatrix(4*l.HiddenSize, l.HiddenSize),
 		DB:  tensor.NewVector(4 * l.HiddenSize),
 	}
-}
-
-// ForwardSeq resets state, runs the whole sequence, and returns the hidden
-// state at every step plus the caches needed for BackwardSeq.
-func (l *LSTM) ForwardSeq(xs []tensor.Vector) ([]tensor.Vector, []*StepCache) {
-	l.Reset()
-	hs := make([]tensor.Vector, len(xs))
-	caches := make([]*StepCache, len(xs))
-	for t, x := range xs {
-		h, _, cache := l.step(x, l.h, l.c)
-		hs[t] = h
-		caches[t] = cache
-	}
-	return hs, caches
-}
-
-// BackwardSeq runs full BPTT given dL/dh at every step, accumulating
-// parameter gradients into g and returning dL/dx at every step.
-func (l *LSTM) BackwardSeq(caches []*StepCache, dhs []tensor.Vector, g *LSTMGrads) []tensor.Vector {
-	T := len(caches)
-	dxs := make([]tensor.Vector, T)
-	dhNext := tensor.NewVector(l.HiddenSize)
-	dcNext := tensor.NewVector(l.HiddenSize)
-	for t := T - 1; t >= 0; t-- {
-		dh := dhs[t].Clone()
-		dh.Add(dhNext)
-		dxs[t], dhNext, dcNext = l.StepBackward(caches[t], dh, dcNext, g)
-	}
-	return dxs
 }
 
 // ApplyGrads performs W -= lr·dW with optional gradient clipping (clip <= 0

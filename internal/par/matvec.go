@@ -133,13 +133,6 @@ func axpyRowGo(y, r []float64, x float64) {
 	}
 }
 
-// ForwardTile computes y[i] = Σ_j m[i,j]·x[j] for rows lo ≤ i < hi — the
-// tile-level kernel entry for callers scheduling their own tile grids
-// (e.g. a batched forward running a sample × row-tile grid).
-func ForwardTile(m *tensor.Matrix, x, y tensor.Vector, lo, hi int) {
-	forwardTile(m.Data, m.Cols, x, y, lo, hi)
-}
-
 // forwardTileBatch computes ys[s][i] = Σ_j w[i,j]·xs[s][j] for rows
 // lo ≤ i < hi across all samples of the block. Sample-blocking is the
 // GEMM-style amortization: each weight row is streamed once per sample
@@ -217,13 +210,6 @@ func forwardRowsBatch(w []float64, cols int, xs, ys []tensor.Vector, lo, hi int)
 			ys[s][i] = a0
 		}
 	}
-}
-
-// ForwardTileBatch is the exported entry of the sample-blocked kernel for
-// callers scheduling their own (row-tile × sample-block) grids — the
-// crossbar batched read uses it under its periphery handling.
-func ForwardTileBatch(m *tensor.Matrix, xs, ys []tensor.Vector, lo, hi int) {
-	forwardTileBatch(m.Data, m.Cols, xs, ys, lo, hi)
 }
 
 // BatchBlocks reports how many sample blocks of the active plan's

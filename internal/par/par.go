@@ -94,13 +94,6 @@ func SetPlan(p Plan) {
 	plan.Store(packPlan(p.normalize()))
 }
 
-// ActivePlan reports the geometry the kernels are currently executing
-// under.
-func ActivePlan() Plan {
-	v := plan.Load()
-	return Plan{TileSpan: int(uint32(v >> 32)), BatchSpan: int(uint32(v))}
-}
-
 // tileSpan is the active tile extent (hot-path accessor).
 func tileSpan() int {
 	return int(uint32(plan.Load() >> 32))

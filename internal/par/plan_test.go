@@ -11,17 +11,17 @@ import (
 // TestPlanDefaults pins that the process boots under the historical
 // geometry and that SetPlan normalizes unset fields back to it.
 func TestPlanDefaults(t *testing.T) {
-	if got := ActivePlan(); got != DefaultPlan() {
+	if got := activePlan(); got != DefaultPlan() {
 		t.Fatalf("boot plan = %+v, want %+v", got, DefaultPlan())
 	}
 	defer SetPlan(DefaultPlan())
 	SetPlan(Plan{})
-	if got := ActivePlan(); got != DefaultPlan() {
+	if got := activePlan(); got != DefaultPlan() {
 		t.Fatalf("SetPlan(zero) = %+v, want defaults %+v", got, DefaultPlan())
 	}
 	SetPlan(Plan{TileSpan: -3, BatchSpan: 7})
-	if got := (Plan{TileSpan: DefaultTileSpan, BatchSpan: 7}); ActivePlan() != got {
-		t.Fatalf("SetPlan(partial) = %+v, want %+v", ActivePlan(), got)
+	if got := (Plan{TileSpan: DefaultTileSpan, BatchSpan: 7}); activePlan() != got {
+		t.Fatalf("SetPlan(partial) = %+v, want %+v", activePlan(), got)
 	}
 }
 
@@ -100,4 +100,11 @@ func TestPlanInvariantMVM(t *testing.T) {
 			}
 		}
 	}
+}
+
+// activePlan reports the geometry the kernels are currently executing
+// under.
+func activePlan() Plan {
+	v := plan.Load()
+	return Plan{TileSpan: int(uint32(v >> 32)), BatchSpan: int(uint32(v))}
 }

@@ -47,12 +47,3 @@ func (g GPU) Kernel(flops, bytes float64) *Cost {
 	c.Ops["bytes"] = int64(bytes)
 	return c
 }
-
-// MatVec returns the cost of a dense rows×cols fp32 matrix-vector product
-// whose matrix streams from DRAM (the memory-bound regime of soft reads and
-// similarity scans over large MANN memories).
-func (g GPU) MatVec(rows, cols int) *Cost {
-	flops := 2 * float64(rows) * float64(cols)
-	bytes := 4 * (float64(rows)*float64(cols) + float64(rows) + float64(cols))
-	return g.Kernel(flops, bytes)
-}

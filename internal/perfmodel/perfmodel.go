@@ -8,12 +8,7 @@
 // DESIGN.md §4 substitution 3.
 package perfmodel
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Cost accumulates energy (joules), latency (seconds) and named op counts
 // for one operation or workload.
@@ -60,30 +55,6 @@ func (c *Cost) Merge(other *Cost) {
 	}
 }
 
-// Scale multiplies energy, latency and op counts by f (e.g. to extrapolate
-// one inference to a batch).
-func (c *Cost) Scale(f float64) {
-	c.Energy *= f
-	c.Latency *= f
-	for k := range c.Ops {
-		c.Ops[k] = int64(float64(c.Ops[k]) * f)
-	}
-}
-
-// String renders the cost compactly for tables.
-func (c *Cost) String() string {
-	keys := make([]string, 0, len(c.Ops))
-	for k := range c.Ops {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, c.Ops[k]))
-	}
-	return fmt.Sprintf("E=%.3g J, T=%.3g s [%s]", c.Energy, c.Latency, strings.Join(parts, " "))
-}
-
 // Speedup returns baseline.Latency / c.Latency.
 func (c *Cost) Speedup(baseline *Cost) float64 {
 	if c.Latency == 0 {
@@ -111,11 +82,6 @@ type Roofline struct {
 // Ridge returns the arithmetic intensity (FLOP/byte) at which the model
 // transitions from memory- to compute-bound.
 func (r Roofline) Ridge() float64 { return r.PeakFLOPS / r.MemBW }
-
-// Attainable returns the achievable FLOP/s at the given intensity.
-func (r Roofline) Attainable(intensity float64) float64 {
-	return math.Min(r.PeakFLOPS, r.MemBW*intensity)
-}
 
 // Time returns the roofline execution time for an op with the given totals.
 func (r Roofline) Time(flops, bytes float64) float64 {

@@ -2,14 +2,13 @@
 // CAM-friendly few-shot pipelines of §IV (floating-point feature vectors
 // are converted to low-precision fixed point before TCAM storage) and by
 // the reduced-precision discussion of §II: symmetric uniform quantizers
-// with 2–8 bits and a clipping-scale search in the spirit of PACT
-// (paper ref. [13]).
+// with 2–8 bits and fixed clipping scales in the spirit of PACT (paper
+// ref. [13]).
 package quant
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -76,30 +75,4 @@ func (q *Quantizer) Codes(v tensor.Vector) []int {
 		out[i] = q.Index(x)
 	}
 	return out
-}
-
-// MaxError reports the worst-case rounding error for in-range inputs
-// (half a step).
-func (q *Quantizer) MaxError() float64 { return q.step() / 2 }
-
-// CalibrateScale chooses a clipping scale for the given data by taking the
-// p-quantile of absolute values (p in (0, 1]; p = 1 means max-abs). Clipping
-// below the max trades outlier saturation for finer resolution of the bulk,
-// the optimization that PACT performs during training.
-func CalibrateScale(data []tensor.Vector, p float64) float64 {
-	var all []float64
-	for _, v := range data {
-		for _, x := range v {
-			all = append(all, math.Abs(x))
-		}
-	}
-	if len(all) == 0 {
-		return 1
-	}
-	sort.Float64s(all)
-	if p >= 1 {
-		return math.Max(all[len(all)-1], 1e-12)
-	}
-	idx := int(p * float64(len(all)-1))
-	return math.Max(all[idx], 1e-12)
 }

@@ -53,7 +53,7 @@ func TestQuantizeProperties(t *testing.T) {
 			return false
 		}
 		// Error bounded by half a step.
-		return math.Abs(y-x) <= q.MaxError()+1e-12
+		return math.Abs(y-x) <= q.step()/2+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -100,21 +100,6 @@ func TestMoreBitsLessError(t *testing.T) {
 			t.Fatalf("%d bits error %v not below previous %v", bits, e, prevErr)
 		}
 		prevErr = e
-	}
-}
-
-func TestCalibrateScale(t *testing.T) {
-	data := []tensor.Vector{{0.1, 0.2, -0.3}, {0.4, -10}} // one outlier
-	full := CalibrateScale(data, 1)
-	if full != 10 {
-		t.Fatalf("max-abs scale = %v, want 10", full)
-	}
-	clipped := CalibrateScale(data, 0.75)
-	if clipped >= full {
-		t.Fatalf("percentile scale %v should clip below max %v", clipped, full)
-	}
-	if CalibrateScale(nil, 1) != 1 {
-		t.Fatal("empty data should default to 1")
 	}
 }
 

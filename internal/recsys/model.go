@@ -54,9 +54,6 @@ func (t *EmbeddingTable) ApplyGrad(idxs []int, grad tensor.Vector, lr float64) {
 	}
 }
 
-// Bytes reports the table's fp32 footprint.
-func (t *EmbeddingTable) Bytes() int64 { return int64(t.Rows) * int64(t.Dim) * 4 }
-
 // Config specifies a recommendation-model architecture (Fig. 6).
 type Config struct {
 	Name       string
@@ -153,18 +150,4 @@ func (m *Model) Accuracy(samples []dataset.ClickSample) float64 {
 		}
 	}
 	return float64(correct) / float64(len(samples))
-}
-
-// EmbeddingBytes reports the total embedding-table footprint.
-func (m *Model) EmbeddingBytes() int64 {
-	var b int64
-	for _, t := range m.Tables {
-		b += t.Bytes()
-	}
-	return b
-}
-
-// MLPParams reports the dense parameter count of both stacks.
-func (m *Model) MLPParams() int {
-	return m.Bottom.ParamCount() + m.Top.ParamCount()
 }

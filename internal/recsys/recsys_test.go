@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/nn"
 	"repro/internal/perfmodel"
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
@@ -138,7 +139,15 @@ func TestConfigValidation(t *testing.T) {
 func TestCapacityAccounting(t *testing.T) {
 	small := CapacityBytes(RMCSmall())
 	m := NewModel(RMCSmall(), rngutil.New(11))
-	got := m.EmbeddingBytes() + int64(m.MLPParams()*4)
+	var got int64
+	for _, t := range m.Tables {
+		got += int64(t.Rows) * int64(t.Dim) * 4
+	}
+	for _, mlp := range []*nn.MLP{m.Bottom, m.Top} {
+		for _, l := range mlp.Layers {
+			got += int64(l.W.Rows()) * int64(l.W.Cols()) * 4
+		}
+	}
 	if small != got {
 		t.Fatalf("CapacityBytes %d != instantiated %d", small, got)
 	}
@@ -224,72 +233,6 @@ func TestEmbeddingCacheStudySkewMatters(t *testing.T) {
 	bigC := EmbeddingCacheStudy(1_000_000, 16, 1<<20, 1.2, 20000, 2)
 	if bigC <= smallC {
 		t.Fatalf("bigger cache hit rate %v should beat smaller %v", bigC, smallC)
-	}
-}
-
-func TestInterestPoolAttendsToRelevantHistory(t *testing.T) {
-	rng := rngutil.New(31)
-	m := NewInterestModule(16, 4)
-	history, taste := SyntheticHistory(16, 32, rng)
-	// A candidate aligned with the taste should produce a pooled vector
-	// more aligned with taste than a random candidate's pooling.
-	aligned := taste.Clone()
-	random := make(tensor.Vector, 16)
-	for i := range random {
-		random[i] = rng.NormFloat64()
-	}
-	pa, attnA := m.Pool(aligned, history)
-	pr, _ := m.Pool(random, history)
-	if len(attnA) != 32 {
-		t.Fatalf("attention length %d", len(attnA))
-	}
-	if s := attnA.Sum(); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("attention sums to %v", s)
-	}
-	simA := tensor.CosineSimilarity(pa, taste)
-	simR := tensor.CosineSimilarity(pr, taste)
-	if simA <= simR {
-		t.Fatalf("taste-aligned pooling %v should beat random %v", simA, simR)
-	}
-}
-
-func TestInterestPoolEmptyHistory(t *testing.T) {
-	m := NewInterestModule(8, 1)
-	out, attn := m.Pool(make(tensor.Vector, 8), nil)
-	if out.Norm2() != 0 || attn != nil {
-		t.Fatal("empty history should pool to zero")
-	}
-}
-
-func TestSeqProfileAddsAttentionOp(t *testing.T) {
-	r := perfmodel.Roofline{PeakFLOPS: 10e12, MemBW: 600e9}
-	cfg := RMCSeq()
-	ops := SeqProfile(cfg, 64, r)
-	last := ops[len(ops)-1]
-	if last.Name != "interest-attn" {
-		t.Fatalf("last op = %s", last.Name)
-	}
-	if last.FLOPs <= 0 || last.Bytes <= 0 {
-		t.Fatal("attention op must have cost")
-	}
-	// Attention over gathered history stays memory-bound like embeddings —
-	// the §V-B point that sequence models add further irregular access.
-	if last.Bound != "memory" {
-		t.Fatalf("interest-attn bound = %s, want memory", last.Bound)
-	}
-	if len(ops) != 5 {
-		t.Fatalf("expected 5 ops, got %d", len(ops))
-	}
-}
-
-func TestInterestModuleCosts(t *testing.T) {
-	m := NewInterestModule(32, 1)
-	if m.FLOPs(10) <= 0 || m.Bytes(10) != 10*32*4 {
-		t.Fatalf("cost accounting wrong: flops=%v bytes=%v", m.FLOPs(10), m.Bytes(10))
-	}
-	// Longer history costs more.
-	if m.FLOPs(64) <= m.FLOPs(8) {
-		t.Fatal("FLOPs must grow with history")
 	}
 }
 

@@ -74,14 +74,6 @@ func (h *Health) State() BreakerState {
 	return h.state
 }
 
-// InRotation reports whether the replica may take new requests.
-func (h *Health) InRotation() bool { return h.State() != Quarantined }
-
-// Latency reports the service-latency EWMA in seconds.
-func (h *Health) Latency() float64 {
-	return h.latEWMA
-}
-
 // ObserveServe folds one completed serving attempt into the accounting.
 func (h *Health) ObserveServe(latency float64, transient bool) {
 	if h.latEWMA == 0 {

@@ -47,7 +47,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if st := h.ObserveCanary(0.2); st != Degraded {
 		t.Fatalf("mild divergence gave %v, want degraded", st)
 	}
-	if !h.InRotation() {
+	if h.State() == Quarantined {
 		t.Fatal("degraded replica must stay in rotation")
 	}
 	// Heavy divergence quarantines; quarantine is sticky even if later
@@ -61,7 +61,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if st := h.ObserveCanary(0); st != Quarantined {
 		t.Fatalf("quarantine must be sticky, got %v", st)
 	}
-	if h.InRotation() {
+	if h.State() != Quarantined {
 		t.Fatal("quarantined replica must be out of rotation")
 	}
 	// Only the recalibration path re-admits.

@@ -60,33 +60,6 @@ type Service struct {
 	// not yet reached the core: armed timers, inferences, fallbacks,
 	// canary rounds and recalibrations.
 	running int
-
-	// Live-runtime instruments (see liveCounters), nil when observability
-	// is off; published holds the counts already added to them.
-	counters  []*obs.Counter
-	mLatency  *obs.Histogram
-	published Metrics
-}
-
-// liveCounters are the live runtime's counters, each fed by one Metrics
-// count. All are volatile (wall-clock-fed): they show on /metrics but never
-// in the deterministic stable dump.
-var liveCounters = []struct {
-	name, help string
-	count      func(*Metrics) int
-}{
-	{"serve_live_served_total", "requests answered by the live runtime", func(m *Metrics) int { return m.Completed }},
-	{"serve_live_shed_total", "requests load-shed at a full queue", func(m *Metrics) int { return m.Shed }},
-	{"serve_live_expired_total", "requests that missed their deadline", func(m *Metrics) int { return m.Expired }},
-	{"serve_live_unavailable_total", "requests with no replica and no fallback", func(m *Metrics) int { return m.Unavailable }},
-	{"serve_live_retries_total", "retry attempts", func(m *Metrics) int { return m.Retries }},
-	{"serve_live_hedges_total", "hedged attempts dispatched", func(m *Metrics) int { return m.Hedges }},
-	{"serve_live_fallbacks_total", "requests served by the digital fallback", func(m *Metrics) int { return m.Fallbacks }},
-	{"serve_live_recals_total", "recalibration passes", func(m *Metrics) int { return m.Recals }},
-	{"serve_suspect_served_total", "requests answered with a verify-failed suspect vector (out of attempts or time)",
-		func(m *Metrics) int { return m.SuspectServed }},
-	{"serve_live_batches_total", "multi-request coalesced dispatches", func(m *Metrics) int { return m.Batches }},
-	{"serve_live_coalesced_total", "requests served via coalesced dispatches", func(m *Metrics) int { return m.Coalesced }},
 }
 
 // NewService starts the runtime. fallback, if non-nil and enabled by the
@@ -129,34 +102,6 @@ func (s *Service) SetClock(c obs.Clock) {
 	s.core.start(0)
 }
 
-// SetObservability attaches a registry and tracer to the live runtime. All
-// instruments are registered Volatile: the real service is wall-clock-fed,
-// so its numbers belong on /metrics but not in the deterministic stable
-// dump. Call before serving traffic. Either argument may be nil.
-func (s *Service) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.core.tracer = tr
-	s.counters = make([]*obs.Counter, len(liveCounters))
-	for i, lc := range liveCounters {
-		s.counters[i] = reg.Counter(lc.name, lc.help).Volatile()
-	}
-	s.mLatency = reg.Histogram("serve_live_latency_seconds",
-		"wall-clock service latency of live requests (windowed)", 1024).Volatile()
-}
-
-// publish adds the core's new counts to the instruments. Called with s.mu
-// held after every event.
-func (s *Service) publish() {
-	if s.counters == nil {
-		return
-	}
-	for i, lc := range liveCounters {
-		s.counters[i].Add(int64(lc.count(&s.core.m) - lc.count(&s.published)))
-	}
-	s.published = s.core.m
-}
-
 // now is the core time: seconds since service start on the service clock.
 func (s *Service) now() float64 { return s.clock.Now().Sub(s.start).Seconds() }
 
@@ -181,18 +126,14 @@ func (s *Service) Counters() ServiceCounters {
 func (s *Service) Do(x tensor.Vector) (tensor.Vector, error) {
 	req := &request{x: x, want: -1, reply: make(chan result, 1)}
 	s.mu.Lock()
-	began := s.clock.Now()
 	s.pending[req] = struct{}{}
 	t := s.now()
 	s.core.arrive(t, req)
 	if !req.done {
 		s.timer(req.deadline, func(t float64) { s.core.onDeadline(t, req) })
 	}
-	s.publish()
-	clock := s.clock
 	s.mu.Unlock()
 	r := <-req.reply
-	s.mLatency.Observe(clock.Now().Sub(began).Seconds())
 	return r.y, r.err
 }
 
@@ -211,7 +152,6 @@ func (s *Service) Close() {
 		for req := range s.pending {
 			s.core.fail(t, req, ErrClosed)
 		}
-		s.publish()
 	}
 	s.mu.Unlock()
 	s.timers.Wait()
@@ -225,7 +165,6 @@ func (s *Service) deliver(f func(t float64)) {
 	s.running--
 	if !s.closed {
 		f(s.now())
-		s.publish()
 	}
 }
 

@@ -84,7 +84,7 @@ func TestRetryBackoffUsesVirtualClock(t *testing.T) {
 // TestAttemptDeadlineSuspectAccounted is the satellite-2 regression test:
 // the attempt deadline path returns a verify-failed suspect vector as
 // ok=true, which used to be served with no accounting at all. It must now
-// land in serve_suspect_served_total / Counters().SuspectServed.
+// land in Counters().SuspectServed.
 //
 // Choreography (all on the Manual clock): the primary attempt blocks until
 // released, the hedge fires and blocks forever, the primary then completes
@@ -226,7 +226,7 @@ func TestLateAttemptUpdatesHealth(t *testing.T) {
 	latency := func() float64 {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		return rep.Health.Latency()
+		return rep.Health.latEWMA
 	}
 	if l := latency(); l != 0 {
 		t.Fatalf("Health latency %v before the attempt finished, want 0", l)

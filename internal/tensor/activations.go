@@ -48,10 +48,3 @@ func Apply(v Vector, f func(float64) float64) Vector {
 	}
 	return out
 }
-
-// ApplyInPlace applies f element-wise, overwriting v.
-func ApplyInPlace(v Vector, f func(float64) float64) {
-	for i, x := range v {
-		v[i] = f(x)
-	}
-}

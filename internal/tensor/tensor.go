@@ -113,17 +113,6 @@ func (v Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the L∞ (max-abs) norm of v.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -131,14 +120,6 @@ func (v Vector) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
 }
 
 // ArgMax returns the index of the largest element, or -1 for an empty vector.
@@ -282,23 +263,6 @@ func (m *Matrix) Fill(x float64) {
 	}
 }
 
-// Scale multiplies every element of m by a.
-func (m *Matrix) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
-// Add adds o into m element-wise. It panics on shape mismatch.
-func (m *Matrix) Add(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: Matrix.Add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	for i := range m.Data {
-		m.Data[i] += o.Data[i]
-	}
-}
-
 // Transpose returns a newly allocated transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -364,29 +328,6 @@ func (m *Matrix) AddOuter(scale float64, u, v Vector) {
 			row[j] += su * v[j]
 		}
 	}
-}
-
-// MatMul returns m · o. It panics if m.Cols != o.Rows.
-func (m *Matrix) MatMul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*o.Cols : (i+1)*o.Cols]
-		for k := 0; k < m.Cols; k++ {
-			a := mrow[k]
-			if a == 0 {
-				continue
-			}
-			brow := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j := range orow {
-				orow[j] += a * brow[j]
-			}
-		}
-	}
-	return out
 }
 
 // MaxAbs returns the largest absolute element of m (0 for an empty matrix).

@@ -75,9 +75,6 @@ func TestNorms(t *testing.T) {
 	if v.Norm2() != 5 {
 		t.Errorf("Norm2 = %v, want 5", v.Norm2())
 	}
-	if v.NormInf() != 4 {
-		t.Errorf("NormInf = %v, want 4", v.NormInf())
-	}
 }
 
 func TestArgMax(t *testing.T) {
@@ -275,38 +272,6 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := NewMatrix(2, 3)
-	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
-	b := NewMatrix(3, 2)
-	copy(b.Data, []float64{7, 8, 9, 10, 11, 12})
-	c := a.MatMul(b)
-	want := []float64{58, 64, 139, 154}
-	for i, w := range want {
-		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
-		}
-	}
-}
-
-// Property: (AB)x == A(Bx).
-func TestMatMulAssociatesWithMatVec(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n, k, m := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
-		a := randMat(r, n, k)
-		b := randMat(r, k, m)
-		x := randVec(r, m)
-		lhs := a.MatMul(b).MatVec(x)
-		rhs := a.MatVec(b.MatVec(x))
-		for i := range lhs {
-			if !almostEqual(lhs[i], rhs[i], 1e-8) {
-				t.Fatalf("(AB)x != A(Bx): %v vs %v", lhs, rhs)
-			}
-		}
-	}
-}
-
 func TestMatrixHelpers(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Fill(3)
@@ -318,13 +283,9 @@ func TestMatrixHelpers(t *testing.T) {
 		t.Errorf("MaxAbs = %v, want 7", m.MaxAbs())
 	}
 	m2 := m.Clone()
-	m2.Scale(2)
+	m2.Set(0, 0, 6)
 	if m.At(0, 0) != 3 || m2.At(0, 0) != 6 {
-		t.Error("Clone/Scale aliasing bug")
-	}
-	m.Add(m2)
-	if m.At(0, 0) != 9 {
-		t.Errorf("Add: got %v", m.At(0, 0))
+		t.Error("Clone aliasing bug")
 	}
 	if got := NewMatrix(2, 2).FrobeniusNorm(); got != 0 {
 		t.Errorf("Frobenius of zero = %v", got)
@@ -388,10 +349,6 @@ func TestApply(t *testing.T) {
 	}
 	if v[0] != -1 {
 		t.Error("Apply must not mutate input")
-	}
-	ApplyInPlace(v, ReLU)
-	if v[0] != 0 {
-		t.Error("ApplyInPlace must mutate input")
 	}
 }
 

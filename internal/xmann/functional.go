@@ -23,14 +23,6 @@ type TCPT struct {
 	arr *crossbar.Array
 }
 
-// NewTCPT builds an ideal-device tile (functional verification focuses on
-// the dataflow; device non-idealities are the domain of package crossbar).
-// Soft writes use expected-pulse updates: X-MANN's writes carry full
-// attention weights, far beyond the single-train stochastic-update range.
-func NewTCPT(rows, cols int, rng *rngutil.Source) *TCPT {
-	return NewTCPTWith(rows, cols, crossbar.Ideal(), crossbar.DefaultConfig(), rng)
-}
-
 // NewTCPTWith builds a tile on an explicit device model and array config —
 // the entry point fault campaigns use to study X-MANN's soft read/write
 // pipeline on imperfect arrays. The update mode is forced to
@@ -87,9 +79,6 @@ func (t *TCPT) SoftRead(w tensor.Vector) tensor.Vector { return t.arr.Backward(w
 // SoftWrite performs the additive soft write M += w ⊗ add as one parallel
 // rank-1 update.
 func (t *TCPT) SoftWrite(w, add tensor.Vector) { t.arr.Update(1, w, add) }
-
-// Weights exposes the tile contents for verification.
-func (t *TCPT) Weights() *tensor.Matrix { return t.arr.Weights() }
 
 // DistributedMemory partitions an M×D differentiable memory row-wise across
 // TCPTs, with the global reduce unit combining partial soft-read outputs —

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/crossbar"
 	"repro/internal/mann"
 	"repro/internal/perfmodel"
 	"repro/internal/rngutil"
@@ -21,11 +22,11 @@ func randomMemory(rows, cols int, seed uint64) *tensor.Matrix {
 
 func TestTCPTDotProducts(t *testing.T) {
 	mem := randomMemory(8, 6, 1)
-	tile := NewTCPT(8, 6, rngutil.New(2))
+	tile := newTCPT(8, 6, rngutil.New(2))
 	tile.Program(mem)
 	key := tensor.Vector{0.3, -0.2, 0.5, 0.1, -0.4, 0.2}
 	dots := tile.DotProducts(key)
-	w := tile.Weights()
+	w := tile.Array().Weights()
 	for i := 0; i < 8; i++ {
 		want := tensor.Dot(w.Row(i), key)
 		if math.Abs(dots[i]-want) > 1e-9 {
@@ -36,10 +37,10 @@ func TestTCPTDotProducts(t *testing.T) {
 
 func TestTCPTL1NormsViaOnesVector(t *testing.T) {
 	mem := randomMemory(5, 7, 3)
-	tile := NewTCPT(5, 7, rngutil.New(4))
+	tile := newTCPT(5, 7, rngutil.New(4))
 	tile.Program(mem)
 	norms := tile.L1Norms()
-	w := tile.Weights()
+	w := tile.Array().Weights()
 	for i := 0; i < 5; i++ {
 		want := w.Row(i).Norm1() // non-negative: row sum == L1 norm
 		if math.Abs(norms[i]-want) > 1e-9 {
@@ -50,11 +51,11 @@ func TestTCPTL1NormsViaOnesVector(t *testing.T) {
 
 func TestTCPTSoftReadTransposed(t *testing.T) {
 	mem := randomMemory(6, 4, 5)
-	tile := NewTCPT(6, 4, rngutil.New(6))
+	tile := newTCPT(6, 4, rngutil.New(6))
 	tile.Program(mem)
 	attn := tensor.Vector{0.1, 0.3, 0.05, 0.25, 0.2, 0.1}
 	r := tile.SoftRead(attn)
-	want := tile.Weights().MatVecT(attn)
+	want := tile.Array().Weights().MatVecT(attn)
 	for j := range r {
 		if math.Abs(r[j]-want[j]) > 1e-9 {
 			t.Fatalf("soft read %d: %v vs %v", j, r[j], want[j])
@@ -64,13 +65,13 @@ func TestTCPTSoftReadTransposed(t *testing.T) {
 
 func TestTCPTSoftWriteRankOne(t *testing.T) {
 	mem := randomMemory(4, 4, 7)
-	tile := NewTCPT(4, 4, rngutil.New(8))
+	tile := newTCPT(4, 4, rngutil.New(8))
 	tile.Program(mem)
-	before := tile.Weights()
+	before := tile.Array().Weights()
 	w := tensor.Vector{0.5, 0, 0, 0.25}
 	add := tensor.Vector{0.1, 0, 0.2, 0}
 	tile.SoftWrite(w, add)
-	after := tile.Weights()
+	after := tile.Array().Weights()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			want := before.At(i, j) + w[i]*add[j]
@@ -83,7 +84,7 @@ func TestTCPTSoftWriteRankOne(t *testing.T) {
 }
 
 func TestTCPTRejectsNegativeMemory(t *testing.T) {
-	tile := NewTCPT(2, 2, rngutil.New(9))
+	tile := newTCPT(2, 2, rngutil.New(9))
 	m := tensor.NewMatrix(2, 2)
 	m.Set(0, 0, -0.5)
 	defer func() {
@@ -126,9 +127,9 @@ func TestDistributedSoftWrite(t *testing.T) {
 	dm := NewDistributedMemory(mem, 4, rngutil.New(14))
 	w := tensor.NewVector(10)
 	w[7] = 0.5
-	before := dm.Tiles[1].Weights().At(3, 2) // global row 7 lives in tile 1 row 3
+	before := dm.Tiles[1].Array().Weights().At(3, 2) // global row 7 lives in tile 1 row 3
 	dm.SoftWrite(w, tensor.Vector{0, 0, 0.3, 0})
-	after := dm.Tiles[1].Weights().At(3, 2)
+	after := dm.Tiles[1].Array().Weights().At(3, 2)
 	if math.Abs((after-before)-0.15) > 0.03 {
 		t.Fatalf("distributed write delta %v, want 0.15", after-before)
 	}
@@ -232,15 +233,16 @@ func TestMoreParallelTilesFaster(t *testing.T) {
 }
 
 func TestWorkloadFromTrace(t *testing.T) {
-	// Run the functional copy machine and price exactly what it executed.
-	cm := mann.NewCopyMachine(64, 32)
-	seq := make([]tensor.Vector, 32)
-	for i := range seq {
-		seq[i] = tensor.NewVector(32)
+	// Drive a functional DNC memory and price exactly what it executed.
+	d := mann.NewDNCMemory(64, 32)
+	ones := tensor.NewVector(32)
+	ones.Fill(1)
+	const steps = 32
+	for i := 0; i < steps; i++ {
+		ww := d.Write(tensor.NewVector(32), 1, 1, 1, ones, tensor.NewVector(32))
+		d.Read(ww)
 	}
-	cm.Run(seq)
-	ops := cm.Mem.Ops
-	w := WorkloadFromTrace("copy-traced", 64, 32, len(seq), ops, 1000)
+	w := WorkloadFromTrace("dnc-traced", 64, 32, steps, d.Ops, 1000)
 	if w.ReadsPerStep < 1 || w.WritesPerStep < 1 {
 		t.Fatalf("trace-derived workload lost ops: %+v", w)
 	}
@@ -253,4 +255,10 @@ func TestWorkloadFromTrace(t *testing.T) {
 	if w0.Steps != 1 || w0.SimsPerStep != 0 {
 		t.Fatalf("empty trace workload wrong: %+v", w0)
 	}
+}
+
+// newTCPT builds an ideal-device tile: functional verification focuses on
+// the dataflow, device non-idealities are the domain of package crossbar.
+func newTCPT(rows, cols int, rng *rngutil.Source) *TCPT {
+	return NewTCPTWith(rows, cols, crossbar.Ideal(), crossbar.DefaultConfig(), rng)
 }
