@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race check ci-sync portable fuzz smoke \
-	cluster-smoke determinism golden obs-smoke bench-quick bench-selftest \
-	bench-baseline campaign serve-campaign train-campaign cluster-campaign
+.PHONY: all build fmt vet lint test race check ci-sync deadcode portable fuzz \
+	smoke cluster-smoke determinism golden obs-smoke bench-quick \
+	bench-selftest bench-baseline campaign serve-campaign train-campaign \
+	cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
-all: check portable fuzz smoke cluster-smoke determinism golden obs-smoke \
-	bench-quick bench-selftest
+all: check deadcode portable fuzz smoke cluster-smoke determinism golden \
+	obs-smoke bench-quick bench-selftest
 
 build:
 	$(GO) build ./...
@@ -33,6 +34,13 @@ race:
 # can't drift.
 ci-sync:
 	$(GO) run ./cmd/ci-sync
+
+# deadcode fails on any function under internal/ that no main package
+# (cmd/, examples/, perfbench) reaches and that testdata/deadcode.allow
+# does not keep as a test oracle, test seam or shared test helper; stale
+# allowlist entries fail too.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # The core CI gate: formatting + vet + build + race-enabled tests + the
 # CI/Makefile drift check.

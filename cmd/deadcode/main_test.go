@@ -1,0 +1,149 @@
+package main
+
+import (
+	"go/token"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+const fixture = `package serve
+
+type EventQueue[E any] struct{ h []E }
+
+func (q *EventQueue[E]) Push(t float64, ev E) {}
+func (q *EventQueue[E]) Pop() (float64, E)    { var e E; return 0, e }
+func (q *EventQueue[E]) Len() int             { return len(q.h) }
+
+type Health struct{}
+
+func (h Health) Ready() bool   { return true }
+func (h *Health) Latency() int { return 0 }
+
+func NewService() {}
+func oracle()     {}
+func init()       {}
+`
+
+// nmOut is `go tool nm` output of a binary that links the fixture's
+// NewService, its generic queue through one instantiation, and Ready only
+// through the pointer wrapper the compiler generates for a value method.
+const nmOut = `  4c1a20 T repro/internal/serve.(*EventQueue[go.shape.func(float64)]).Pop
+  4c1b40 T repro/internal/serve.(*EventQueue[go.shape.func(float64)]).Push
+  4c1c00 T repro/internal/serve.(*Health).Ready
+  4c1d00 T repro/internal/serve.NewService
+  4c1e00 T repro/internal/serve.NewService.func1
+  4c1f00 T repro/internal/par.dotAVX2.abi0
+  8c3f50 D repro/internal/serve.unused
+  404360 T runtime.main
+`
+
+func fixtureDecls(t *testing.T) []decl {
+	t.Helper()
+	ds, err := fileDecls(token.NewFileSet(), "repro/internal/serve", "serve.go", fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestFileDeclsNamesAsNm(t *testing.T) {
+	var got []string
+	for _, d := range fixtureDecls(t) {
+		got = append(got, d.Sym)
+	}
+	want := []string{
+		"serve.(*EventQueue).Push", "serve.(*EventQueue).Pop", "serve.(*EventQueue).Len",
+		"serve.Health.Ready", "serve.(*Health).Latency", "serve.NewService", "serve.oracle",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("declarations %v, want %v", got, want)
+	}
+}
+
+func TestNmSymbols(t *testing.T) {
+	reach := map[string]bool{}
+	nmSymbols(nmOut, reach)
+	for _, sym := range []string{
+		"serve.(*EventQueue).Pop", "serve.(*EventQueue).Push", "serve.(*Health).Ready",
+		"serve.NewService", "par.dotAVX2",
+	} {
+		if !reach[sym] {
+			t.Errorf("%s not read from nm output", sym)
+		}
+	}
+	if reach["serve.unused"] || reach["runtime.main"] {
+		t.Error("data symbols and other modules must not count")
+	}
+}
+
+func TestCheck(t *testing.T) {
+	reach := map[string]bool{}
+	nmSymbols(nmOut, reach)
+	decls := fixtureDecls(t)
+	for name, tc := range map[string]struct {
+		allow map[string]string
+		want  []string
+	}{
+		"unlisted dead functions fail": {
+			want: []string{"serve.(*EventQueue).Len", "serve.(*Health).Latency", "serve.oracle"},
+		},
+		"allowlisted dead functions pass": {
+			allow: map[string]string{
+				"serve.(*EventQueue).Len": "shared-test: x", "serve.(*Health).Latency": "seam: x",
+				"serve.oracle": "oracle: x",
+			},
+		},
+		"stale entries fail": {
+			allow: map[string]string{
+				"serve.(*EventQueue).Len": "shared-test: x", "serve.(*Health).Latency": "seam: x",
+				"serve.oracle": "oracle: x", "serve.NewService": "seam: now reached",
+				"serve.Health.Ready": "seam: reached by its pointer wrapper", "serve.gone": "oracle: deleted",
+			},
+			want: []string{"stale entry serve.Health.Ready", "stale entry serve.NewService", "stale entry serve.gone"},
+		},
+	} {
+		got := check(decls, reach, tc.allow)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: got %q, want %d findings", name, got, len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(got[i], w) {
+				t.Errorf("%s: finding %d is %q, want it to name %s", name, i, got[i], w)
+			}
+		}
+	}
+}
+
+func TestParseAllow(t *testing.T) {
+	allow, bad := parseAllow(`# comment
+
+obs.NewManual  shared-test: the clock several packages' tests step
+tensor.(*Matrix).Transpose oracle: MatVecT is tested against it
+serve.f  because
+serve.g  habit: not a rule
+serve.h  seam:
+obs.NewManual  seam: twice
+`)
+	if len(allow) != 2 || allow["tensor.(*Matrix).Transpose"] != "oracle: MatVecT is tested against it" {
+		t.Fatalf("allow = %v", allow)
+	}
+	if len(bad) != 4 {
+		t.Fatalf("bad = %q, want 4 findings", bad)
+	}
+}
+
+func TestStripTypeArgs(t *testing.T) {
+	for in, want := range map[string]string{
+		"serve.(*EventQueue[go.shape.func(float64)]).Pop":     "serve.(*EventQueue).Pop",
+		"serve.Map[go.shape.string,go.shape.[]int].Get":       "serve.Map.Get",
+		"serve.Keys[go.shape.map[string]int]":                 "serve.Keys",
+		"serve.(*Service).Do":                                 "serve.(*Service).Do",
+		"serve.(*EventQueue[go.shape.struct { a [2]int }]).X": "serve.(*EventQueue).X",
+	} {
+		if got := stripTypeArgs(in); got != want {
+			t.Errorf("stripTypeArgs(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
