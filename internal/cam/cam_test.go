@@ -23,8 +23,8 @@ func TestMismatchesSemantics(t *testing.T) {
 	stored := Row{One, Zero, X, One}
 	query := Row{One, One, Zero, X}
 	// pos0 match, pos1 conflict, pos2 stored-X matches, pos3 query-X matches.
-	if got := Mismatches(stored, query); got != 1 {
-		t.Fatalf("Mismatches = %d, want 1", got)
+	if got := newKey(query).mismatches(stored); got != 1 {
+		t.Fatalf("mismatches = %d, want 1", got)
 	}
 }
 
@@ -34,7 +34,7 @@ func TestMismatchesPanicsOnWidth(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Mismatches(Row{One}, Row{One, Zero})
+	newKey(Row{One, Zero}).mismatches(Row{One})
 }
 
 func TestSearchExact(t *testing.T) {
@@ -205,5 +205,20 @@ func TestKNearestClamped(t *testing.T) {
 	}
 	if got := tc.KNearestDegree(RowFromUint(0, 4), 5); len(got) != 1 {
 		t.Fatalf("k beyond rows should clamp: %v", got)
+	}
+}
+
+// A negative k retrieves nothing, as k = 0 does, instead of panicking on
+// a negative slice capacity.
+func TestKNearestNegativeK(t *testing.T) {
+	tc := New(4)
+	tc.Store(RowFromUint(0, 4))
+	for _, k := range []int{-1, -7} {
+		if got := tc.KNearestBinary(RowFromUint(0, 4), k); len(got) != 0 {
+			t.Fatalf("KNearestBinary(k=%d) = %v, want none", k, got)
+		}
+		if got := tc.KNearestDegree(RowFromUint(0, 4), k); len(got) != 0 {
+			t.Fatalf("KNearestDegree(k=%d) = %v, want none", k, got)
+		}
 	}
 }

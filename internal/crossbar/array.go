@@ -453,44 +453,41 @@ func (a *Array) update(scale float64, u, v tensor.Vector, reference bool) {
 	}
 }
 
-// reseedTileRNGs repositions the arena's per-tile pulse-noise streams for
-// the current update operation. Each stream is keyed by the array's base
-// seed, the update counter, and the tile index — never by execution order —
-// so a tile draws the identical sequence whether tiles run on one worker or
-// eight, and whether the run is fresh or resumed from a checkpoint (the
-// counter is part of ArrayState; the streams themselves are re-derived per
-// op, so the arena needs no serialization). The streams live in the arena
-// and are reseeded in place, so no allocation happens after the first
-// update.
-func (a *Array) reseedTileRNGs(tiles int) {
-	for t := 0; t < tiles; t++ {
-		if a.arena.tileSrc[t] == nil {
-			a.arena.tileSrc[t] = a.rng.Sub(uint64(a.Counts.Updates), uint64(t))
-		} else {
-			a.rng.SubInto(a.arena.tileSrc[t], uint64(a.Counts.Updates), uint64(t))
-		}
+// tileRNG returns tile t's pulse-noise stream for the current update
+// operation, positioned at its start. Each stream is keyed by the array's
+// base seed, the update counter, and the tile index — never by execution
+// order — so a tile draws the identical sequence whether tiles run on one
+// worker or eight, and whether the run is fresh or resumed from a
+// checkpoint (the counter is part of ArrayState; the streams themselves
+// are re-derived per op, so the arena needs no serialization). A tile
+// kernel calls it once, the first time the tile needs a draw, so tiles
+// the update leaves undriven are never seeded. The streams live in the
+// arena and are reseeded in place, so no allocation happens after a
+// tile's first draw.
+func (a *Array) tileRNG(t int) *rngutil.Source {
+	src := a.arena.tileSrc
+	if src[t] == nil {
+		src[t] = a.rng.Sub(uint64(a.Counts.Updates), uint64(t))
+	} else {
+		a.rng.SubInto(src[t], uint64(a.Counts.Updates), uint64(t))
 	}
+	return src[t]
 }
 
 // runUpdateTiles executes one tiled update pass over the row tiles of the
 // array. Without a fault hook the tiles run on the par worker pool (each
 // tile touches a disjoint row range of devices and weight mirror, and
-// draws only from its own per-tile keyed stream). With a hook installed the
-// tiles run sequentially in tile order on the calling goroutine — the
-// hook's per-op ordering guarantee (see FaultHook) must hold, and hooks
-// keep private random streams that are not tile-keyed — which by the
-// determinism contract produces the identical result. Per-tile pulse
-// counts are reduced into Counts.Pulses in fixed tile order. needRNG=false
-// skips the per-tile stream reseed for passes that provably draw nothing
-// (the noiseless-linear kernel); fn then receives nil streams.
-func (a *Array) runUpdateTiles(needRNG bool, fn func(t, lo, hi int, rng *rngutil.Source) int64) {
+// draws only from its own per-tile keyed stream, fetched through tileRNG).
+// With a hook installed the tiles run sequentially in tile order on the
+// calling goroutine — the hook's per-op ordering guarantee (see FaultHook)
+// must hold, and hooks keep private random streams that are not
+// tile-keyed — which by the determinism contract produces the identical
+// result. Per-tile pulse counts are reduced into Counts.Pulses in fixed
+// tile order.
+func (a *Array) runUpdateTiles(fn func(t, lo, hi int) int64) {
 	tiles := par.Tiles(a.rows)
 	a.ensureArena()
-	if needRNG {
-		a.reseedTileRNGs(tiles)
-	}
 	pulses := a.arena.pulses
-	src := a.arena.tileSrc
 	rows := a.rows
 	run := par.Run
 	if a.hook != nil {
@@ -498,9 +495,9 @@ func (a *Array) runUpdateTiles(needRNG bool, fn func(t, lo, hi int, rng *rngutil
 	}
 	run(tiles, func(t int) {
 		lo, hi := par.Bounds(t, rows)
-		pulses[t] = fn(t, lo, hi, src[t])
+		pulses[t] = fn(t, lo, hi)
 	})
-	for _, n := range pulses {
+	for _, n := range pulses[:tiles] {
 		a.Counts.Pulses += n
 	}
 }
@@ -536,12 +533,16 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bo
 		return
 	}
 	cols := a.cols
-	a.runUpdateTiles(true, func(_, lo, hi int, rng *rngutil.Source) int64 {
+	a.runUpdateTiles(func(t, lo, hi int) int64 {
 		var n int64
+		var rng *rngutil.Source
 		for i := lo; i < hi; i++ {
 			rt := rowTrains[i]
 			if rt == 0 {
 				continue
+			}
+			if rng == nil {
+				rng = a.tileRNG(t)
 			}
 			upRow := math.Signbit(u[i]) == sgnScale // sign(u_i·scale) > 0
 			base := i * cols
@@ -564,8 +565,8 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bo
 // the model's step parameters (only the per-cell scale varies). It applies
 // the same multiply/add/clip sequence as cells.pulseLinear, with the sign
 // and asymmetry folded into per-column tables, straight to the weight
-// plane. Because no randomness is consumed, the tile streams are not even
-// reseeded (needRNG=false); results are bit-identical to the generic path.
+// plane. Because no randomness is consumed, the tile streams are never
+// seeded; results are bit-identical to the generic path.
 func (a *Array) updateStochasticLinear(sgnScale bool, u, v tensor.Vector) {
 	rowTrains := a.arena.rowTrains
 	colTrains := a.arena.colTrains
@@ -616,7 +617,7 @@ func (a *Array) updateStochasticLinear(sgnScale bool, u, v tensor.Vector) {
 	off := a.arena.colSlotOff
 	buf := a.arena.colSlotBuf
 	fillSlotBuckets(colTrains, bl, off, buf)
-	a.runUpdateTiles(false, func(_, lo, hi int, _ *rngutil.Source) int64 {
+	a.runUpdateTiles(func(_, lo, hi int) int64 {
 		var n int64
 		for i := lo; i < hi; i++ {
 			rt := rowTrains[i]
@@ -701,12 +702,16 @@ func (a *Array) train(p float64) uint64 {
 // draws and the pulse cycle noise both come from the tile's keyed stream.
 func (a *Array) updateExpected(scale float64, u, v tensor.Vector) {
 	dw := a.model.MeanStep()
-	a.runUpdateTiles(true, func(_, lo, hi int, rng *rngutil.Source) int64 {
+	a.runUpdateTiles(func(t, lo, hi int) int64 {
 		var pulses int64
+		var rng *rngutil.Source
 		for i := lo; i < hi; i++ {
 			ui := u[i]
 			if ui == 0 {
 				continue
+			}
+			if rng == nil {
+				rng = a.tileRNG(t)
 			}
 			base := i * a.cols
 			su := scale * ui

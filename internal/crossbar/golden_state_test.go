@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/rngutil"
+	"repro/internal/tensor"
 )
 
 // goldenStateModels are the device models the golden-state script runs
@@ -40,7 +41,11 @@ func goldenStateModels() []struct {
 // goldenStateHash drives a 12×10 array through one fixed script that
 // touches every state-mutating operation, then hashes the gob encoding of
 // ExportState followed by the bits of every value the script read back.
+// The "sparse" variant runs sparseDriveScript instead.
 func goldenStateHash(model Model, variant string) string {
+	if variant == "sparse" {
+		return sparseDriveHash(model)
+	}
 	cfg := DefaultConfig()
 	cfg.ReadNoise = 0.01
 	switch variant {
@@ -79,10 +84,52 @@ func goldenStateHash(model Model, variant string) string {
 	a.AdvanceTime(3000)
 	outs = append(outs, a.Forward(scriptVec(10, 0, data))...)
 	outs = append(outs, a.MaxSaturation(), a.DeviceWeight(4, 5), a.DeviceWeight(6, 7))
+	return stateHash(outs, a)
+}
 
+// sparseDriveHash drives two 200×10 arrays, four row tiles each, with
+// updates that leave whole tiles undriven: one-hot rows in expected mode
+// (the X-MANN soft write), and stochastic updates whose row trains are
+// empty outside tiles 1 and 3, through both Update and UpdateReference.
+// It pins that a tile's stream depends only on (seed, update counter,
+// tile), whichever tiles draw.
+func sparseDriveHash(model Model) string {
+	const rows, cols = 200, 10
+	data := rngutil.New(59)
+	var outs []float64
+	var arrays []*Array
+	for _, mode := range []UpdateMode{UpdateExpected, UpdateStochastic} {
+		cfg := DefaultConfig()
+		cfg.Update = mode
+		a := NewArray(rows, cols, model, cfg, rngutil.New(61))
+		for step, hot := range []int{5, 100, 197} {
+			onehot := make(tensor.Vector, rows)
+			onehot[hot] = 1
+			a.Update(0.05, onehot, scriptVec(cols, 3, data))
+			u := make(tensor.Vector, rows)
+			for i := 64 + step; i < 128; i += 3 {
+				u[i] = data.NormFloat64()
+			}
+			for i := 192; i < rows; i++ {
+				u[i] = data.NormFloat64()
+			}
+			a.Update(0.04, u, scriptVec(cols, 2, data))
+			a.UpdateReference(-0.03, u, scriptVec(cols, 4, data))
+		}
+		outs = append(outs, a.Forward(scriptVec(cols, 0, data))...)
+		arrays = append(arrays, a)
+	}
+	return stateHash(outs, arrays...)
+}
+
+// stateHash hashes the gob encoding of each array's ExportState followed
+// by the bits of every read-back value.
+func stateHash(outs []float64, arrays ...*Array) string {
 	h := sha256.New()
-	if err := gob.NewEncoder(h).Encode(a.ExportState()); err != nil {
-		panic(err)
+	for _, a := range arrays {
+		if err := gob.NewEncoder(h).Encode(a.ExportState()); err != nil {
+			panic(err)
+		}
 	}
 	var b [8]byte
 	for _, v := range outs {
@@ -101,37 +148,44 @@ var goldenStateHashes = map[string]string{
 	"ideal/stuck-corrupt":      "477b2a3f9b8568d0",
 	"ideal/drop-hook":          "701aca60cdd125ba",
 	"ideal/expected":           "825e773f3d9e4477",
+	"ideal/sparse":             "7806cfbc10f13b05",
 	"ideal-var/plain":          "ab9671560c41fed4",
 	"ideal-var/stuck-corrupt":  "45ffd917f2e2bf68",
 	"ideal-var/drop-hook":      "676d2b32bd020c7a",
 	"ideal-var/expected":       "ad78032f1fad49c3",
+	"ideal-var/sparse":         "37b469a48b730b1c",
 	"rram/plain":               "e2e6b39fb03ae55a",
 	"rram/stuck-corrupt":       "4123bfef44b7c445",
 	"rram/drop-hook":           "a8b9c58a7bc7a943",
 	"rram/expected":            "e53528f9376eba75",
+	"rram/sparse":              "af4cc2116399c35a",
 	"pcm/plain":                "e5187c99001d246b",
 	"pcm/stuck-corrupt":        "302311974dc73abe",
 	"pcm/drop-hook":            "9f6ff3db191276d4",
 	"pcm/expected":             "15745ce7a1c3f7c2",
+	"pcm/sparse":               "c450326f54f34480",
 	"fefet/plain":              "a5812c09f2d66573",
 	"fefet/stuck-corrupt":      "a71312ad5fae5c68",
 	"fefet/drop-hook":          "2608e228d889cd62",
 	"fefet/expected":           "438a10771c25f110",
+	"fefet/sparse":             "6ee4ac6c2b4ba699",
 	"fefet-worn/plain":         "cfca53b7c5c3acfa",
 	"fefet-worn/stuck-corrupt": "482b91633a08aaeb",
 	"fefet-worn/drop-hook":     "ffab5288db8763a5",
 	"fefet-worn/expected":      "2c30da272764c265",
+	"fefet-worn/sparse":        "6ee4ac6c2b4ba699",
 	"ecram/plain":              "a9e66d154c1b4048",
 	"ecram/stuck-corrupt":      "91f8e44e823febb2",
 	"ecram/drop-hook":          "3e45090184c3f063",
 	"ecram/expected":           "47d57e6e03195655",
+	"ecram/sparse":             "e90759e7e7da6d52",
 }
 
 // TestGoldenArrayState is the byte-identity check for every device model,
 // including the ones (FeFET, ECRAM) that no campaign output covers.
 func TestGoldenArrayState(t *testing.T) {
 	for _, m := range goldenStateModels() {
-		for _, variant := range []string{"plain", "stuck-corrupt", "drop-hook", "expected"} {
+		for _, variant := range []string{"plain", "stuck-corrupt", "drop-hook", "expected", "sparse"} {
 			name := m.name + "/" + variant
 			got := goldenStateHash(m.model, variant)
 			if want := goldenStateHashes[name]; got != want {

@@ -87,11 +87,8 @@ func (r *FaultyLSHRetriever) Reset() {
 // row builds the fault-corrupted word that lands in physical row `phys`
 // when `sig` is written to it.
 func (r *FaultyLSHRetriever) row(phys int, sig lsh.Signature) cam.Row {
-	row := make(cam.Row, r.width)
-	for c := 0; c < r.width; c++ {
-		if sig.Get(c) {
-			row[c] = cam.One
-		}
+	row := mann.SignatureRow(sig)
+	for c := range row {
 		if base := phys * r.width; base+c < len(r.faultMap) {
 			switch r.faultMap[base+c] {
 			case cellStuck0:
@@ -120,14 +117,7 @@ func (r *FaultyLSHRetriever) Store(v tensor.Vector, label int) {
 // Classify implements mann.Retriever: one degree-of-match search over all
 // physical rows; the best copy of any entry wins.
 func (r *FaultyLSHRetriever) Classify(q tensor.Vector) int {
-	sig := r.hasher.Sign(q)
-	row := make(cam.Row, r.width)
-	for c := 0; c < r.width; c++ {
-		if sig.Get(c) {
-			row[c] = cam.One
-		}
-	}
-	idx, _ := r.tcam.BestMatch(row)
+	idx, _ := r.tcam.BestMatch(mann.SignatureRow(r.hasher.Sign(q)))
 	if idx < 0 {
 		return -1
 	}

@@ -9,6 +9,7 @@ package lsh
 import (
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
 )
@@ -29,39 +30,38 @@ func (s Signature) set(i int) { s.Words[i/64] |= 1 << uint(i%64) }
 // hyperplanes. In the few-shot pipeline of Fig. 5 it replaces the CNN's
 // last fully connected layer (paper ref. [9]): computationally it is the
 // same dense matrix-vector product followed by a sign, so the substitution
-// adds no storage or compute.
+// adds no storage or compute, and Sign runs it on the same tiled MVM
+// kernel as the crossbar layers.
 type Hasher struct {
 	Dim    int
-	Planes []tensor.Vector
+	planes *tensor.Matrix // one hyperplane per row
 }
 
 // NewHasher draws nPlanes random Gaussian hyperplanes for dim-dimensional
 // inputs.
 func NewHasher(dim, nPlanes int, rng *rngutil.Source) *Hasher {
-	h := &Hasher{Dim: dim}
 	pr := rng.Child("planes")
-	for p := 0; p < nPlanes; p++ {
-		v := make(tensor.Vector, dim)
-		for i := range v {
-			v[i] = pr.NormFloat64()
-		}
-		h.Planes = append(h.Planes, v)
+	planes := tensor.NewMatrix(nPlanes, dim)
+	for i := range planes.Data {
+		planes.Data[i] = pr.NormFloat64()
 	}
-	return h
+	return &Hasher{Dim: dim, planes: planes}
 }
 
 // NumPlanes reports the signature length in bits.
-func (h *Hasher) NumPlanes() int { return len(h.Planes) }
+func (h *Hasher) NumPlanes() int { return h.planes.Rows }
 
 // Sign computes the signature of v: bit p is 1 iff v lies on the positive
-// side of hyperplane p.
+// side of hyperplane p. The projections are one par.MatVec, bit-identical
+// to a tensor.Dot per plane at every worker count.
 func (h *Hasher) Sign(v tensor.Vector) Signature {
 	if len(v) != h.Dim {
 		panic(fmt.Sprintf("lsh: input dim %d, hasher expects %d", len(v), h.Dim))
 	}
-	s := Signature{Bits: len(h.Planes), Words: make([]uint64, (len(h.Planes)+63)/64)}
-	for p, plane := range h.Planes {
-		if tensor.Dot(plane, v) >= 0 {
+	n := h.planes.Rows
+	s := Signature{Bits: n, Words: make([]uint64, (n+63)/64)}
+	for p, y := range par.MatVec(h.planes, v) {
+		if y >= 0 {
 			s.set(p)
 		}
 	}
@@ -70,4 +70,4 @@ func (h *Hasher) Sign(v tensor.Vector) Signature {
 
 // MACsPerSignature reports the multiply-accumulate cost of hashing one
 // vector (identical to one dense layer of the same shape).
-func (h *Hasher) MACsPerSignature() int { return h.Dim * len(h.Planes) }
+func (h *Hasher) MACsPerSignature() int { return h.Dim * h.planes.Rows }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
 )
@@ -136,4 +137,41 @@ func hamming(a, b Signature) int {
 		d += bits.OnesCount64(a.Words[w] ^ b.Words[w])
 	}
 	return d
+}
+
+// TestSignMatchesDot checks Sign against the per-plane tensor.Dot oracle:
+// at odd dims, plane counts that are not a multiple of 16 (the MVM
+// kernel's row block) and on the all-zero input, whose every projection
+// is 0 and so sets every bit. It runs at one worker and at four.
+func TestSignMatchesDot(t *testing.T) {
+	defer par.SetWorkers(0)
+	for _, workers := range []int{1, 4} {
+		par.SetWorkers(workers)
+		rng := rngutil.New(10)
+		for _, dim := range []int{1, 3, 17, 64, 255} {
+			for _, planes := range []int{1, 5, 16, 33, 70, 128} {
+				h := NewHasher(dim, planes, rng)
+				for trial := 0; trial < 3; trial++ {
+					v := randVec(rng, dim)
+					if trial == 0 {
+						v = make(tensor.Vector, dim)
+					}
+					s := h.Sign(v)
+					if s.Bits != planes || len(s.Words) != (planes+63)/64 {
+						t.Fatalf("dim %d planes %d: signature shape %d bits, %d words", dim, planes, s.Bits, len(s.Words))
+					}
+					for p := 0; p < planes; p++ {
+						want := tensor.Dot(h.planes.Row(p), v) >= 0
+						if s.Get(p) != want {
+							t.Fatalf("workers %d, dim %d, planes %d, trial %d: bit %d = %v, want %v",
+								workers, dim, planes, trial, p, s.Get(p), want)
+						}
+					}
+					if trial == 0 && hamming(s, Signature{Bits: planes, Words: make([]uint64, len(s.Words))}) != planes {
+						t.Fatalf("dim %d planes %d: the zero input must set every bit", dim, planes)
+					}
+				}
+			}
+		}
+	}
 }

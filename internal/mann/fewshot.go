@@ -121,31 +121,29 @@ func (r *LSHRetriever) Reset() {
 
 // Store implements Retriever.
 func (r *LSHRetriever) Store(v tensor.Vector, label int) {
-	sig := r.Hasher.Sign(v)
-	row := make(cam.Row, sig.Bits)
-	for i := 0; i < sig.Bits; i++ {
-		if sig.Get(i) {
-			row[i] = cam.One
-		}
-	}
-	r.TCAM.Store(row)
+	r.TCAM.Store(SignatureRow(r.Hasher.Sign(v)))
 	r.labels = append(r.labels, label)
 }
 
 // Classify implements Retriever.
 func (r *LSHRetriever) Classify(q tensor.Vector) int {
-	sig := r.Hasher.Sign(q)
-	row := make(cam.Row, sig.Bits)
-	for i := 0; i < sig.Bits; i++ {
-		if sig.Get(i) {
-			row[i] = cam.One
-		}
-	}
-	idx, _ := r.TCAM.BestMatch(row)
+	idx, _ := r.TCAM.BestMatch(SignatureRow(r.Hasher.Sign(q)))
 	if idx < 0 {
 		return -1
 	}
 	return r.labels[idx]
+}
+
+// SignatureRow is the TCAM word of an LSH signature: bit i set stores One
+// in cell i, clear stores Zero.
+func SignatureRow(sig lsh.Signature) cam.Row {
+	row := make(cam.Row, sig.Bits)
+	for i := range row {
+		if sig.Get(i) {
+			row[i] = cam.One
+		}
+	}
+	return row
 }
 
 // CubeRetriever implements the RENE-style expanding-cube search of
