@@ -36,9 +36,10 @@ ci-sync:
 	$(GO) run ./cmd/ci-sync
 
 # deadcode fails on any function under internal/ that no main package
-# (cmd/, examples/, perfbench) reaches and that testdata/deadcode.allow
-# does not keep as a test oracle, test seam or shared test helper; stale
-# allowlist entries fail too.
+# (cmd/, examples/, perfbench) reaches, and on any exported bool, string,
+# integer or float field of an internal/ struct that no non-test file
+# assigns, unless testdata/deadcode.allow keeps it as a test oracle, test
+# seam or shared test helper; stale allowlist entries fail too.
 deadcode:
 	$(GO) run ./cmd/deadcode
 
@@ -85,35 +86,38 @@ cluster-smoke:
 # count (the internal/par determinism contract). The stable metric and
 # trace dumps (-metrics-out/-trace-out) are under the same contract: the
 # simulator feeds the registry from virtual time, never the wall clock.
+# The outputs land in DETERMINISM_OUT, so two checkouts can run it at once.
+DETERMINISM_OUT ?= /tmp/determinism
 determinism:
+	mkdir -p $(DETERMINISM_OUT)
 	$(GO) run ./cmd/serve-campaign -quick -workers 1 \
-		-metrics-out /tmp/serve.w1.metrics -trace-out /tmp/serve.w1.traces > /tmp/serve.w1.txt
+		-metrics-out $(DETERMINISM_OUT)/serve.w1.metrics -trace-out $(DETERMINISM_OUT)/serve.w1.traces > $(DETERMINISM_OUT)/serve.w1.txt
 	$(GO) run ./cmd/serve-campaign -quick -workers 4 \
-		-metrics-out /tmp/serve.w4.metrics -trace-out /tmp/serve.w4.traces > /tmp/serve.w4.txt
-	cmp /tmp/serve.w1.txt /tmp/serve.w4.txt
-	cmp /tmp/serve.w1.metrics /tmp/serve.w4.metrics
-	cmp /tmp/serve.w1.traces /tmp/serve.w4.traces
+		-metrics-out $(DETERMINISM_OUT)/serve.w4.metrics -trace-out $(DETERMINISM_OUT)/serve.w4.traces > $(DETERMINISM_OUT)/serve.w4.txt
+	cmp $(DETERMINISM_OUT)/serve.w1.txt $(DETERMINISM_OUT)/serve.w4.txt
+	cmp $(DETERMINISM_OUT)/serve.w1.metrics $(DETERMINISM_OUT)/serve.w4.metrics
+	cmp $(DETERMINISM_OUT)/serve.w1.traces $(DETERMINISM_OUT)/serve.w4.traces
 	$(GO) run ./cmd/serve-campaign -quick -pipeline mlp -batch 4 -workers 1 \
-		-metrics-out /tmp/serve.b4.w1.metrics > /tmp/serve.b4.w1.txt
+		-metrics-out $(DETERMINISM_OUT)/serve.b4.w1.metrics > $(DETERMINISM_OUT)/serve.b4.w1.txt
 	$(GO) run ./cmd/serve-campaign -quick -pipeline mlp -batch 4 -workers 4 \
-		-metrics-out /tmp/serve.b4.w4.metrics > /tmp/serve.b4.w4.txt
-	cmp /tmp/serve.b4.w1.txt /tmp/serve.b4.w4.txt
-	cmp /tmp/serve.b4.w1.metrics /tmp/serve.b4.w4.metrics
+		-metrics-out $(DETERMINISM_OUT)/serve.b4.w4.metrics > $(DETERMINISM_OUT)/serve.b4.w4.txt
+	cmp $(DETERMINISM_OUT)/serve.b4.w1.txt $(DETERMINISM_OUT)/serve.b4.w4.txt
+	cmp $(DETERMINISM_OUT)/serve.b4.w1.metrics $(DETERMINISM_OUT)/serve.b4.w4.metrics
 	$(GO) run ./cmd/train-campaign -smoke -workers 1 \
-		-metrics-out /tmp/train.w1.metrics > /tmp/train.w1.txt
+		-metrics-out $(DETERMINISM_OUT)/train.w1.metrics > $(DETERMINISM_OUT)/train.w1.txt
 	$(GO) run ./cmd/train-campaign -smoke -workers 4 \
-		-metrics-out /tmp/train.w4.metrics > /tmp/train.w4.txt
-	cmp /tmp/train.w1.txt /tmp/train.w4.txt
-	cmp /tmp/train.w1.metrics /tmp/train.w4.metrics
+		-metrics-out $(DETERMINISM_OUT)/train.w4.metrics > $(DETERMINISM_OUT)/train.w4.txt
+	cmp $(DETERMINISM_OUT)/train.w1.txt $(DETERMINISM_OUT)/train.w4.txt
+	cmp $(DETERMINISM_OUT)/train.w1.metrics $(DETERMINISM_OUT)/train.w4.metrics
 	$(GO) run ./cmd/cluster-campaign -quick -workers 1 \
-		-metrics-out /tmp/cluster.w1.metrics > /tmp/cluster.w1.txt
+		-metrics-out $(DETERMINISM_OUT)/cluster.w1.metrics > $(DETERMINISM_OUT)/cluster.w1.txt
 	$(GO) run ./cmd/cluster-campaign -quick -workers 4 \
-		-metrics-out /tmp/cluster.w4.metrics > /tmp/cluster.w4.txt
-	cmp /tmp/cluster.w1.txt /tmp/cluster.w4.txt
-	cmp /tmp/cluster.w1.metrics /tmp/cluster.w4.metrics
-	$(GO) run ./cmd/bench-report -quick -workers 1 > /tmp/bench.w1.txt
-	$(GO) run ./cmd/bench-report -quick -workers 4 > /tmp/bench.w4.txt
-	cmp /tmp/bench.w1.txt /tmp/bench.w4.txt
+		-metrics-out $(DETERMINISM_OUT)/cluster.w4.metrics > $(DETERMINISM_OUT)/cluster.w4.txt
+	cmp $(DETERMINISM_OUT)/cluster.w1.txt $(DETERMINISM_OUT)/cluster.w4.txt
+	cmp $(DETERMINISM_OUT)/cluster.w1.metrics $(DETERMINISM_OUT)/cluster.w4.metrics
+	$(GO) run ./cmd/bench-report -quick -workers 1 > $(DETERMINISM_OUT)/bench.w1.txt
+	$(GO) run ./cmd/bench-report -quick -workers 4 > $(DETERMINISM_OUT)/bench.w4.txt
+	cmp $(DETERMINISM_OUT)/bench.w1.txt $(DETERMINISM_OUT)/bench.w4.txt
 
 # Golden outputs: the quick campaign outputs (R1 fault, R2 serve, R3 train,
 # R6 cluster), every quick experiment of repro-all, the kernel checksums, and
@@ -150,15 +154,17 @@ golden:
 # detached and attached in interleaved reps and bounds the ratio of the
 # per-arm minima, so both arms see the same machine regime. The absolute
 # perf budgets are off here: this leg only bounds instrumentation overhead.
+# The outputs land in DETERMINISM_OUT, so two checkouts can run it at once.
 obs-smoke:
+	mkdir -p $(DETERMINISM_OUT)
 	$(GO) run ./cmd/serve-campaign -quick -pipeline mlp \
-		-obs-addr 127.0.0.1:0 -obs-selfcheck > /tmp/obs.selfcheck.txt
-	grep "obs-selfcheck: GET /metrics" /tmp/obs.selfcheck.txt
-	$(GO) run ./cmd/fault-campaign -quick -workers 1 -metrics-out /tmp/faults.w1.metrics > /dev/null
-	$(GO) run ./cmd/fault-campaign -quick -workers 4 -metrics-out /tmp/faults.w4.metrics > /dev/null
-	cmp /tmp/faults.w1.metrics /tmp/faults.w4.metrics
+		-obs-addr 127.0.0.1:0 -obs-selfcheck > $(DETERMINISM_OUT)/obs.selfcheck.txt
+	grep "obs-selfcheck: GET /metrics" $(DETERMINISM_OUT)/obs.selfcheck.txt
+	$(GO) run ./cmd/fault-campaign -quick -workers 1 -metrics-out $(DETERMINISM_OUT)/faults.w1.metrics > /dev/null
+	$(GO) run ./cmd/fault-campaign -quick -workers 4 -metrics-out $(DETERMINISM_OUT)/faults.w4.metrics > /dev/null
+	cmp $(DETERMINISM_OUT)/faults.w1.metrics $(DETERMINISM_OUT)/faults.w4.metrics
 	$(GO) run ./cmd/bench-report -obs -benchtime 0.3s -workers 4 -budgets=false \
-		-out /tmp/bench.obs.json -tolerance 0.05
+		-out $(DETERMINISM_OUT)/bench.obs.json -tolerance 0.05
 
 # Quick benchmark pass: writes a fresh report next to the committed
 # baseline (as BENCH.ci.json), enforces the absolute perf budgets (allocs

@@ -576,13 +576,7 @@ func main() {
 	budgets := flag.Bool("budgets", true, "enforce the absolute alloc and speedup budgets")
 	withObs := flag.Bool("obs", false, "measure every benchmark with the tile engine's observability registry detached and attached, interleaved, and bound the overhead at -tolerance")
 	quick := flag.Bool("quick", false, "emit the deterministic kernel checksum table instead of timings")
-	tileSpan := flag.Int("tile-span", 0, "override the par.Plan tile span (0 = default)")
-	batchSpan := flag.Int("batch-span", 0, "override the par.Plan sample-block span (0 = default)")
 	flag.Parse()
-
-	// Zero fields normalize to the default plan, so the flags compose: set
-	// either span alone or both to explore blocking geometries.
-	par.SetPlan(par.Plan{TileSpan: *tileSpan, BatchSpan: *batchSpan})
 
 	if *quick {
 		printChecksums(os.Stdout, *workers)

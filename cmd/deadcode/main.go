@@ -1,5 +1,6 @@
 // Command deadcode fails when a function declared under internal/ is
-// reached by no main package of the repository, unless a committed
+// reached by no main package of the repository, or when a setting field
+// declared there is assigned by no non-test file, unless a committed
 // allowlist says why it stays.
 //
 // The method: every main package (the root module's and the benchmark's)
@@ -10,6 +11,14 @@
 // that might satisfy an interface, so the check errs towards calling code
 // live: it never flags a function a binary runs.
 //
+// The checked fields are the exported bool, string, integer and float
+// fields of the structs of non-test internal/ files. A non-test file of
+// the module or the benchmark assigns one as a composite-literal key, an
+// assignment or inc/dec target, &x.F (as flag.IntVar takes it), or with
+// an unkeyed literal of its struct. Fields and types match by name alone,
+// so this check too errs towards live. A field no code sets is a knob only
+// tests turn, and only tests reach its non-default code paths.
+//
 // The allowlist (testdata/deadcode.allow) holds one symbol per line, then
 // the rule it stays under:
 //
@@ -18,8 +27,8 @@
 // The rules are oracle (a reference implementation tests compare
 // against), seam (a hook that lets a test substitute a fake) and
 // shared-test (test infrastructure several packages' tests use). An entry
-// that a binary now reaches, or that names no declared function, is stale
-// and fails the check too.
+// that is now reached or assigned, or that names no declared function or
+// field, is stale and fails the check too.
 //
 // Run it from the repository root: go run ./cmd/deadcode
 package main
@@ -31,10 +40,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -45,23 +56,21 @@ const modulePrefix = "repro/internal/"
 
 const allowFile = "testdata/deadcode.allow"
 
-// rules are the reasons an unreachable function may stay.
+// rules are the reasons a dead function or field may stay.
 var rules = map[string]bool{"oracle": true, "seam": true, "shared-test": true}
 
-// decl is one declared function: its symbol relative to modulePrefix
-// (pkg.Func, pkg.Type.Method or pkg.(*Type).Method) and where it is.
+// decl is one checked declaration: its symbol relative to modulePrefix
+// (pkg.Func, pkg.Type.Method or pkg.(*Type).Method for a function,
+// pkg.Type.Field for a field), where it is, and whether it is a field.
 type decl struct {
-	Sym string
-	Pos string
+	Sym   string
+	Pos   string
+	Field bool
 }
 
-// fileDecls returns the function declarations of one Go source file of the
-// package at import path pkg, as nm would name them.
-func fileDecls(fset *token.FileSet, pkg, filename string, src any) ([]decl, error) {
-	f, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
+// funcDecls returns the function declarations of one file of the package
+// at import path pkg, as nm would name them.
+func funcDecls(fset *token.FileSet, pkg string, f *ast.File) []decl {
 	rel := strings.TrimPrefix(pkg, modulePrefix)
 	var out []decl
 	for _, d := range f.Decls {
@@ -76,7 +85,96 @@ func fileDecls(fset *token.FileSet, pkg, filename string, src any) ([]decl, erro
 		p := fset.Position(fd.Pos())
 		out = append(out, decl{Sym: sym, Pos: fmt.Sprintf("%s:%d", p.Filename, p.Line)})
 	}
-	return out, nil
+	return out
+}
+
+// basicType matches the predeclared types of the checked fields.
+var basicType = regexp.MustCompile(`^(bool|string|byte|rune|u?int(8|16|32|64)?|uintptr|float32|float64)$`)
+
+// fieldDecls returns the checked fields of the struct types one file of
+// the package at import path pkg declares.
+func fieldDecls(fset *token.FileSet, pkg string, f *ast.File) []decl {
+	rel := strings.TrimPrefix(pkg, modulePrefix)
+	var out []decl
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, fl := range st.Fields.List {
+				if id, ok := fl.Type.(*ast.Ident); !ok || !basicType.MatchString(id.Name) {
+					continue
+				}
+				for _, n := range fl.Names {
+					if n.IsExported() {
+						p := fset.Position(n.Pos())
+						out = append(out, decl{Sym: rel + "." + ts.Name.Name + "." + n.Name,
+							Pos: fmt.Sprintf("%s:%d", p.Filename, p.Line), Field: true})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// assignedFields adds to set the name of every field one file assigns as
+// a composite-literal key, an assignment or inc/dec target, or the operand
+// of &x.F, and T{} for every struct type T it builds an unkeyed literal
+// of. A slice, array or map literal passes its element type on to the
+// element literals that elide it.
+func assignedFields(f *ast.File, set map[string]bool) {
+	selector := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			set[sel.Sel.Name] = true
+		}
+	}
+	elided := map[ast.Expr]ast.Expr{} // literal element → the type its parent gives it
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				selector(l)
+			}
+		case *ast.IncDecStmt:
+			selector(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				selector(n.X)
+			}
+		case *ast.CompositeLit:
+			typ := n.Type
+			if typ == nil {
+				typ = elided[n]
+			}
+			var key, elem ast.Expr
+			switch t := typ.(type) {
+			case *ast.ArrayType:
+				elem = t.Elt
+			case *ast.MapType:
+				key, elem = t.Key, t.Value
+			}
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[id.Name] = true
+					}
+					elided[kv.Key], e = key, kv.Value
+				} else if elem == nil { // T{...}, pkg.T{...}, &T[A]{...}: mark T{}
+					name := stripTypeArgs(strings.TrimLeft(types.ExprString(typ), "*"))
+					set[name[strings.LastIndex(name, ".")+1:]+"{}"] = true
+				}
+				elided[e] = elem
+			}
+		}
+		return true
+	})
 }
 
 // recvName renders a receiver type as nm does, without type parameters:
@@ -173,26 +271,40 @@ func parseAllow(text string) (map[string]string, []string) {
 	return allow, bad
 }
 
-// check diffs the declarations against the reachable symbols and the
-// allowlist. It returns one message per unreachable function that is not
-// allowed and per allowlist entry that is reachable or undeclared.
-func check(decls []decl, reach map[string]bool, allow map[string]string) []string {
-	var bad []string
+// live reports whether a binary reaches the declared function, or whether
+// a non-test file assigns a field of the declared field's name or builds
+// an unkeyed literal of a type of its struct's name.
+func live(d decl, reach, assigned map[string]bool) bool {
+	if d.Field {
+		parts := strings.Split(d.Sym, ".") // pkg, Type, Field
+		return assigned[parts[2]] || assigned[parts[1]+"{}"]
+	}
+	return reached(d.Sym, reach)
+}
+
+// check diffs the declarations against the reachable symbols, the
+// assigned field names and the allowlist. It returns one message per dead
+// function or field that is not allowed and per allowlist entry that is
+// live or undeclared.
+func check(decls []decl, reach, assigned map[string]bool, allow map[string]string) []string {
+	var bad, stale []string
 	declared := map[string]bool{}
 	for _, d := range decls {
 		declared[d.Sym] = true
-		if reached(d.Sym, reach) || allow[d.Sym] != "" {
-			continue
+		dead, used := "is reached by no binary", "a binary reaches it"
+		if d.Field {
+			dead, used = "is assigned by no non-test file", "a non-test file assigns it"
 		}
-		bad = append(bad, fmt.Sprintf("%s: %s is reached by no binary", d.Pos, d.Sym))
+		switch isLive, allowed := live(d, reach, assigned), allow[d.Sym] != ""; {
+		case isLive && allowed:
+			stale = append(stale, fmt.Sprintf("%s: stale entry %s: %s", allowFile, d.Sym, used))
+		case !isLive && !allowed:
+			bad = append(bad, fmt.Sprintf("%s: %s %s", d.Pos, d.Sym, dead))
+		}
 	}
-	var stale []string
 	for sym := range allow {
-		switch {
-		case !declared[sym]:
-			stale = append(stale, fmt.Sprintf("%s: stale entry %s: no such function", allowFile, sym))
-		case reached(sym, reach):
-			stale = append(stale, fmt.Sprintf("%s: stale entry %s: a binary reaches it", allowFile, sym))
+		if !declared[sym] {
+			stale = append(stale, fmt.Sprintf("%s: stale entry %s: no such function or field", allowFile, sym))
 		}
 	}
 	sort.Strings(stale)
@@ -240,41 +352,49 @@ func reachable(tmp string, dirs ...string) (map[string]bool, int, error) {
 	return reach, n, nil
 }
 
-// declarations parses the non-test Go files of every internal/ package
-// that the current build configuration compiles.
-func declarations() ([]decl, error) {
-	out, err := goCmd(".", "list", "-json", "./internal/...")
-	if err != nil {
-		return nil, err
-	}
+// declarations parses the non-test Go files that the current build
+// configuration compiles, of every package of the modules rooted at dirs.
+// It returns the functions and checked fields the internal/ files declare
+// and the names assignedFields collects from all of them.
+func declarations(dirs ...string) (decls []decl, assigned map[string]bool, err error) {
 	root, err := os.Getwd()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fset := token.NewFileSet()
-	var decls []decl
-	dec := json.NewDecoder(strings.NewReader(out))
-	for dec.More() {
-		var p struct {
-			Dir, ImportPath string
-			GoFiles         []string
+	assigned = map[string]bool{}
+	for _, dir := range dirs {
+		out, err := goCmd(dir, "list", "-json", "./...")
+		if err != nil {
+			return nil, nil, err
 		}
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		for _, f := range p.GoFiles {
-			path, err := filepath.Rel(root, filepath.Join(p.Dir, f))
-			if err != nil {
-				return nil, err
+		dec := json.NewDecoder(strings.NewReader(out))
+		for dec.More() {
+			var p struct {
+				Dir, ImportPath string
+				GoFiles         []string
 			}
-			ds, err := fileDecls(fset, p.ImportPath, path, nil)
-			if err != nil {
-				return nil, err
+			if err := dec.Decode(&p); err != nil {
+				return nil, nil, err
 			}
-			decls = append(decls, ds...)
+			for _, name := range p.GoFiles {
+				path, err := filepath.Rel(root, filepath.Join(p.Dir, name))
+				if err != nil {
+					return nil, nil, err
+				}
+				f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, nil, err
+				}
+				if strings.HasPrefix(p.ImportPath, modulePrefix) {
+					decls = append(decls, funcDecls(fset, p.ImportPath, f)...)
+					decls = append(decls, fieldDecls(fset, p.ImportPath, f)...)
+				}
+				assignedFields(f, assigned)
+			}
 		}
 	}
-	return decls, nil
+	return decls, assigned, nil
 }
 
 // run returns the findings and a one-line summary of a clean pass.
@@ -293,13 +413,13 @@ func run() ([]string, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	decls, err := declarations()
+	decls, assigned, err := declarations(".", "perfbench")
 	if err != nil {
 		return nil, "", err
 	}
-	bad = append(bad, check(decls, reach, allow)...)
-	return bad, fmt.Sprintf("%d mains reach all %d internal/ functions but the %d allowlisted",
-		mains, len(decls)-len(allow), len(allow)), nil
+	bad = append(bad, check(decls, reach, assigned, allow)...)
+	return bad, fmt.Sprintf("%d mains reach, and non-test files assign, all %d internal/ functions and checked fields but the %d allowlisted",
+		mains, len(decls), len(allow)), nil
 }
 
 func main() {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"go/parser"
 	"go/token"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -40,11 +42,96 @@ const nmOut = `  4c1a20 T repro/internal/serve.(*EventQueue[go.shape.func(float6
 
 func fixtureDecls(t *testing.T) []decl {
 	t.Helper()
-	ds, err := fileDecls(token.NewFileSet(), "repro/internal/serve", "serve.go", fixture)
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "serve.go", fixture, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return funcDecls(fset, "repro/internal/serve", f)
+}
+
+const fieldFixture = `package crossbar
+
+type Config struct {
+	BL        int
+	ReadNoise float64
+	Update    UpdateMode
+	Name, Tag string
+	hidden    bool
+	Plan
+	Limit *int
+}
+
+type Pair struct{ Lo, Hi float64 }
+
+type Mode int
+`
+
+func fixtureFields(t *testing.T) []decl {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "config.go", fieldFixture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fieldDecls(fset, "repro/internal/crossbar", f)
+}
+
+func TestFieldDecls(t *testing.T) {
+	ds := fixtureFields(t)
+	var got []string
+	for _, d := range ds {
+		if !d.Field {
+			t.Errorf("%s not marked as a field", d.Sym)
+		}
+		got = append(got, d.Sym)
+	}
+	want := []string{
+		"crossbar.Config.BL", "crossbar.Config.ReadNoise",
+		"crossbar.Config.Name", "crossbar.Config.Tag",
+		"crossbar.Pair.Lo", "crossbar.Pair.Hi",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fields %v, want %v", got, want)
+	}
+}
+
+// TestAssignedFields covers each form of assignment the field check
+// counts, and the reads it must not count.
+func TestAssignedFields(t *testing.T) {
+	for name, tc := range map[string]struct {
+		src  string
+		want []string
+	}{
+		"composite-literal key": {`var c = crossbar.Config{BL: 31}`, []string{"BL"}},
+		"assignment":            {`func f(c *crossbar.Config) { c.ReadNoise = 0.1 }`, []string{"ReadNoise"}},
+		"op-assignment": {`func f(c *crossbar.Config) { c.BL, n = 3, 1; (c.Name) += "x" }`,
+			[]string{"BL", "Name"}},
+		"inc/dec":         {`func f(c *crossbar.Config) { c.BL++; c.Tag-- }`, []string{"BL", "Tag"}},
+		"address":         {`func f(c *crossbar.Config) { flag.Float64Var(&c.ReadNoise, "n", 0, "") }`, []string{"ReadNoise"}},
+		"unkeyed literal": {`var p, b = &crossbar.Pair{0, 1}, Box[int]{2}`, []string{"Box{}", "Pair{}"}},
+		"unkeyed literal, type elided": {`var ps = map[string][]*crossbar.Pair{"a": {{0, 1}}}`,
+			[]string{"Pair{}"}},
+		"reads": {`func f(c crossbar.Config) float64 { n := c.BL; g(&c); _ = crossbar.Config{}; return c.ReadNoise }`,
+			nil},
+		"non-struct literals": {`var v = []float64{1, 2}; var m = map[int]int{1: 2}`, nil},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "user.go", "package user\n"+tc.src, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		set := map[string]bool{}
+		assignedFields(f, set)
+		var got []string
+		for n := range set {
+			got = append(got, n)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: assigned %v, want %v", name, got, tc.want)
+		}
+	}
 }
 
 func TestFileDeclsNamesAsNm(t *testing.T) {
@@ -81,17 +168,20 @@ func TestCheck(t *testing.T) {
 	reach := map[string]bool{}
 	nmSymbols(nmOut, reach)
 	decls := fixtureDecls(t)
+	decls = append(decls, fixtureFields(t)...)
+	assigned := map[string]bool{"BL": true, "Name": true, "Tag": true, "Pair{}": true}
 	for name, tc := range map[string]struct {
 		allow map[string]string
 		want  []string
 	}{
-		"unlisted dead functions fail": {
-			want: []string{"serve.(*EventQueue).Len", "serve.(*Health).Latency", "serve.oracle"},
+		"unlisted dead functions and fields fail": {
+			want: []string{"serve.(*EventQueue).Len is reached", "serve.(*Health).Latency is reached",
+				"serve.oracle is reached", "crossbar.Config.ReadNoise is assigned"},
 		},
-		"allowlisted dead functions pass": {
+		"allowlisted dead functions and fields pass": {
 			allow: map[string]string{
 				"serve.(*EventQueue).Len": "shared-test: x", "serve.(*Health).Latency": "seam: x",
-				"serve.oracle": "oracle: x",
+				"serve.oracle": "oracle: x", "crossbar.Config.ReadNoise": "seam: x",
 			},
 		},
 		"stale entries fail": {
@@ -99,11 +189,14 @@ func TestCheck(t *testing.T) {
 				"serve.(*EventQueue).Len": "shared-test: x", "serve.(*Health).Latency": "seam: x",
 				"serve.oracle": "oracle: x", "serve.NewService": "seam: now reached",
 				"serve.Health.Ready": "seam: reached by its pointer wrapper", "serve.gone": "oracle: deleted",
+				"crossbar.Config.ReadNoise": "seam: x", "crossbar.Config.BL": "seam: now assigned",
 			},
-			want: []string{"stale entry serve.Health.Ready", "stale entry serve.NewService", "stale entry serve.gone"},
+			want: []string{"stale entry crossbar.Config.BL: a non-test file assigns it",
+				"stale entry serve.Health.Ready: a binary reaches it", "stale entry serve.NewService: a binary reaches it",
+				"stale entry serve.gone: no such"},
 		},
 	} {
-		got := check(decls, reach, tc.allow)
+		got := check(decls, reach, assigned, tc.allow)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: got %q, want %d findings", name, got, len(tc.want))
 			continue

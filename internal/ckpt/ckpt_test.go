@@ -30,9 +30,7 @@ func arbitraryState(t testing.TB, seed uint64) *TrainingState {
 		Extra:     map[string][]byte{"fault-engine": {9, 8, 7, 6}},
 	}
 	for i, m := range models {
-		cfg := crossbar.DefaultConfig()
-		cfg.ReadNoise = 0.02
-		a := crossbar.NewArray(4+i%3, 3+i%2, m, cfg, rng.Child(m.Name()))
+		a := crossbar.NewArray(4+i%3, 3+i%2, m, crossbar.DefaultConfig(), rng.Child(m.Name()))
 		u := make(tensor.Vector, a.Rows())
 		v := make(tensor.Vector, a.Cols())
 		for k := range u {

@@ -122,7 +122,7 @@ func scenarioPlan(name string, level float64, cfg CampaignConfig) faults.NodePla
 }
 
 // buildShards trains the golden digits MLP once and programs one pure
-// analog pipeline per shard (no fault hook, zero read noise): answers are
+// analog pipeline per shard (no fault hook): answers are
 // deterministic functions of the programmed state, so the single-threaded
 // sim shares the pipelines across every cell and policy arm.
 func buildShards(cfg CampaignConfig) ([]serve.Pipeline, []serve.SimRequest) {

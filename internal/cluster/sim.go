@@ -39,8 +39,8 @@ type SimConfig struct {
 	Nodes     int
 	Placement Placement
 	// ShardPipes[s] serves shard s's inferences. Pipelines must be pure
-	// (no fault hook, zero read noise): the single-threaded sim shares
-	// them across nodes and cells.
+	// (no fault hook): the single-threaded sim shares them across nodes
+	// and cells.
 	ShardPipes []serve.Pipeline
 	// Requests is the graded request stream (drawn in order, wrapping).
 	Requests []serve.SimRequest

@@ -26,24 +26,15 @@ const (
 	UpdateExpected
 )
 
-// Config holds the peripheral-circuit and array-level parameters.
+// BL is the pulse-train length of stochastic updates (at most 64, the
+// width of a train bitmask).
+const BL = 31
+
+// Config holds the array-level parameters. The periphery is ideal: reads
+// are exact MVMs, with no converter quantization, read noise or IR drop.
 type Config struct {
-	// BL is the pulse-train length for stochastic updates (≤ 64).
-	BL int
 	// Update selects the update realization.
 	Update UpdateMode
-	// ReadNoise is the std of additive output noise per MVM component,
-	// in weight·input units (0 = noiseless periphery).
-	ReadNoise float64
-	// ADCBits quantizes MVM outputs to this many bits over
-	// [-OutputRange, +OutputRange]; 0 disables output quantization.
-	ADCBits int
-	// OutputRange is the ADC full-scale (bound management); outputs clip.
-	OutputRange float64
-	// DACBits quantizes inputs over [-InputRange, +InputRange]; 0 disables.
-	DACBits int
-	// InputRange is the DAC full-scale; inputs clip.
-	InputRange float64
 	// StuckFraction is the probability that a crosspoint is non-yielding
 	// and frozen (§II-B.2 imperfect yield).
 	StuckFraction float64
@@ -51,16 +42,11 @@ type Config struct {
 	// N(0, StuckValueStd) — the "corrupt device" model — instead of at
 	// their pristine initial state (0 keeps the stuck-at-initial model).
 	StuckValueStd float64
-	// IRDrop is a first-order interconnect attenuation coefficient: outputs
-	// are scaled by 1 − IRDrop·cols/256, the voltage-drop penalty that
-	// grows with array width for low-resistance devices (§II-A).
-	IRDrop float64
 }
 
-// DefaultConfig returns sensible periphery defaults: 31-slot trains,
-// stochastic updates, ideal converters, no faults.
+// DefaultConfig returns the defaults: stochastic updates, no faults.
 func DefaultConfig() Config {
-	return Config{BL: 31, Update: UpdateStochastic, OutputRange: 10, InputRange: 1}
+	return Config{Update: UpdateStochastic}
 }
 
 // OpCounts tallies array-level operations; each Forward/Backward/Update is
@@ -77,13 +63,13 @@ type OpCounts struct {
 // rank-1 pulse update.
 //
 // Concurrency contract: an Array is single-writer. Every operation — reads
-// included, since Forward/Backward consume the array's random stream and
-// advance op counters and hook state — must be serialized by the caller
-// (the tile has one set of peripheral drivers; two simultaneous operations
-// have no physical meaning). A background reprogrammer therefore may not
-// race a serving read: hand ownership off explicitly, e.g. with the
-// per-replica mutex of internal/serve.Replica. The guard below turns a
-// violated contract into an immediate panic instead of a silent data race.
+// included, since Forward/Backward advance op counters and hook state —
+// must be serialized by the caller (the tile has one set of peripheral
+// drivers; two simultaneous operations have no physical meaning). A
+// background reprogrammer therefore may not race a serving read: hand
+// ownership off explicitly, e.g. with the per-replica mutex of
+// internal/serve.Replica. The guard below turns a violated contract into
+// an immediate panic instead of a silent data race.
 type Array struct {
 	rows, cols int
 	cfg        Config
@@ -143,16 +129,13 @@ func (a *Array) ensureArena() {
 	if a.linearKernel() {
 		a.arena.colMulUp = make([]float64, a.cols)
 		a.arena.colMulDown = make([]float64, a.cols)
-		a.arena.colSlotOff = make([]int32, a.cfg.BL+1)
-		a.arena.colSlotBuf = make([]int32, a.cfg.BL*a.cols)
+		a.arena.colSlotOff = make([]int32, BL+1)
+		a.arena.colSlotBuf = make([]int32, BL*a.cols)
 	}
 }
 
 // NewArray builds a rows×cols crossbar of fresh devices from model.
 func NewArray(rows, cols int, model Model, cfg Config, rng *rngutil.Source) *Array {
-	if cfg.BL <= 0 || cfg.BL > 64 {
-		panic(fmt.Sprintf("crossbar: BL must be in [1,64], got %d", cfg.BL))
-	}
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("crossbar: invalid array shape %dx%d", rows, cols))
 	}
@@ -228,38 +211,11 @@ func (a *Array) OpOrderPinned() bool { return a.hook != nil }
 // Weights returns a snapshot of the current (noiseless) device weights.
 func (a *Array) Weights() *tensor.Matrix { return a.w.Clone() }
 
-// quantize maps x onto the 2^bits-level uniform grid spanning
-// [-fullScale, fullScale] (endpoints included), clipping out-of-range inputs.
-func quantize(x float64, bits int, fullScale float64) float64 {
-	if bits <= 0 {
-		return x
-	}
-	n := int64(1) << uint(bits) // number of levels
-	step := 2 * fullScale / float64(n-1)
-	k := int64(math.Round((x + fullScale) / step))
-	if k < 0 {
-		k = 0
-	} else if k > n-1 {
-		k = n - 1
-	}
-	return -fullScale + float64(k)*step
-}
-
-func (a *Array) irFactor() float64 {
-	f := 1 - a.cfg.IRDrop*float64(a.cols)/256
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-// Forward implements nn.Mat: one analog MVM y = W·x with DAC quantization,
-// read noise, IR-drop attenuation, and ADC quantization. The MVM executes
-// as row tiles across the par worker pool — all tiles of a crossbar compute
-// in parallel in hardware (§II-A), and the software mirrors that — while
-// the periphery (DAC, hook callbacks, read noise from the array's private
-// stream, ADC) stays on the calling goroutine, so results are bit-identical
-// at every worker count.
+// Forward implements nn.Mat: one analog MVM y = W·x through an ideal
+// periphery. The MVM executes as row tiles across the par worker pool —
+// all tiles of a crossbar compute in parallel in hardware (§II-A), and the
+// software mirrors that — while the hook callbacks stay on the calling
+// goroutine, so results are bit-identical at every worker count.
 func (a *Array) Forward(x tensor.Vector) tensor.Vector {
 	a.acquire()
 	defer a.release()
@@ -276,17 +232,11 @@ func (a *Array) forwardLocked(x tensor.Vector) tensor.Vector {
 		a.hook.BeginOp(a, OpForward)
 	}
 	xin := x
-	if a.cfg.DACBits > 0 || a.hook != nil {
-		xin = make(tensor.Vector, len(x))
-		for j, v := range x {
-			xin[j] = quantize(v, a.cfg.DACBits, a.cfg.InputRange)
-		}
-	}
 	if a.hook != nil {
+		xin = append(tensor.Vector(nil), x...)
 		a.hook.FilterInput(a, OpForward, xin)
 	}
 	y := par.MatVec(a.w, xin)
-	a.finishRead(y)
 	if a.hook != nil {
 		a.hook.FilterOutput(a, OpForward, y)
 	}
@@ -300,11 +250,9 @@ func (a *Array) forwardLocked(x tensor.Vector) tensor.Vector {
 // loops. Results are bit-identical to calling Forward on each input in
 // order: the MVMs of the whole batch execute as one sample-blocked
 // (row-tile × sample-block) grid (par.MatVecBatchInto, which amortizes each
-// weight-row load over BatchSpan samples), then the periphery randomness
-// (read noise) is drawn serially per sample in index order, exactly the
-// sequence the one-by-one path draws. With a fault hook installed the batch
-// degrades to sequential forwards so the hook observes the same well-formed
-// op stream either way.
+// weight-row load over BatchSpan samples). With a fault hook installed the
+// batch degrades to sequential forwards so the hook observes the same
+// well-formed op stream either way.
 func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 	a.acquire()
 	defer a.release()
@@ -321,23 +269,9 @@ func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 		}
 		ys[s] = make(tensor.Vector, a.rows)
 	}
-	xin := xs
-	if a.cfg.DACBits > 0 {
-		xin = make([]tensor.Vector, len(xs))
-		for s, x := range xs {
-			q := make(tensor.Vector, len(x))
-			for j, v := range x {
-				q[j] = quantize(v, a.cfg.DACBits, a.cfg.InputRange)
-			}
-			xin[s] = q
-		}
-	}
-	par.MatVecBatchInto(a.w, xin, ys)
-	for _, y := range ys {
-		a.finishRead(y)
-		a.Counts.Forwards++
-		a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
-	}
+	par.MatVecBatchInto(a.w, xs, ys)
+	a.Counts.Forwards += int64(len(xs))
+	a.Counts.DigitalMACs += int64(len(xs)) * int64(a.rows) * int64(a.cols)
 	return ys
 }
 
@@ -351,17 +285,11 @@ func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 		a.hook.BeginOp(a, OpBackward)
 	}
 	din := d
-	if a.cfg.DACBits > 0 || a.hook != nil {
-		din = make(tensor.Vector, len(d))
-		for i, v := range d {
-			din[i] = quantize(v, a.cfg.DACBits, a.cfg.InputRange)
-		}
-	}
 	if a.hook != nil {
+		din = append(tensor.Vector(nil), d...)
 		a.hook.FilterInput(a, OpBackward, din)
 	}
 	y := par.MatVecT(a.w, din)
-	a.finishRead(y)
 	if a.hook != nil {
 		a.hook.FilterOutput(a, OpBackward, y)
 	}
@@ -370,15 +298,14 @@ func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 }
 
 // SkipBackward implements nn.BackwardSkipper: a backward cycle whose result
-// the caller discards. With a fault hook attached or read noise on, the
-// cycle is observable (the hook sees the op, the noise draws advance the
-// array's stream), so the full Backward runs and its result is dropped.
-// Otherwise Backward draws nothing and touches no device, and only its
-// shape check and op accounting remain: the cycle still counts in
+// the caller discards. With a fault hook attached the cycle is observable
+// (the hook sees the op), so the full Backward runs and its result is
+// dropped. Otherwise Backward draws nothing and touches no device, and
+// only its shape check and op accounting remain: the cycle still counts in
 // Counts.Backwards and Counts.DigitalMACs, so ArrayState, checkpoints and
 // every count-derived table are the same as after Backward.
 func (a *Array) SkipBackward(d tensor.Vector) {
-	if a.hook != nil || a.cfg.ReadNoise > 0 {
+	if a.hook != nil {
 		a.Backward(d)
 		return
 	}
@@ -397,19 +324,6 @@ func (a *Array) checkBackward(d tensor.Vector) {
 func (a *Array) countBackward() {
 	a.Counts.Backwards++
 	a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
-}
-
-func (a *Array) finishRead(y tensor.Vector) {
-	ir := a.irFactor()
-	for i := range y {
-		y[i] *= ir
-		if a.cfg.ReadNoise > 0 {
-			y[i] += a.rng.Normal(0, a.cfg.ReadNoise)
-		}
-		if a.cfg.ADCBits > 0 {
-			y[i] = quantize(y[i], a.cfg.ADCBits, a.cfg.OutputRange)
-		}
-	}
 }
 
 // Update implements nn.Mat: W += scale·(u ⊗ v) in expectation, realized with
@@ -515,9 +429,8 @@ func (a *Array) runUpdateTiles(fn func(t, lo, hi int) int64) {
 // hook or UpdateReference forces the generic per-crosspoint path; the two
 // are bit-identical.
 func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bool) {
-	bl := a.cfg.BL
 	dw := a.model.MeanStep()
-	c := math.Sqrt(math.Abs(scale) / (float64(bl) * dw))
+	c := math.Sqrt(math.Abs(scale) / (float64(BL) * dw))
 	a.ensureArena()
 	rowTrains := a.arena.rowTrains
 	colTrains := a.arena.colTrains
@@ -613,10 +526,9 @@ func (a *Array) updateStochasticLinear(sgnScale bool, u, v tensor.Vector) {
 	// a time instead of as one burst is bit-identical: each pulse is the same
 	// state-independent add-then-clip, so only the count matters, and slots
 	// are visited in ascending order per row either way.
-	bl := a.cfg.BL
 	off := a.arena.colSlotOff
 	buf := a.arena.colSlotBuf
-	fillSlotBuckets(colTrains, bl, off, buf)
+	fillSlotBuckets(colTrains, BL, off, buf)
 	a.runUpdateTiles(func(_, lo, hi int) int64 {
 		var n int64
 		for i := lo; i < hi; i++ {
@@ -694,7 +606,7 @@ func (a *Array) train(p float64) uint64 {
 	}
 	// p > 1 saturates to an all-ones train (every draw is below it); bound
 	// management is the trainer's job.
-	return a.rng.BernoulliMask(p, a.cfg.BL)
+	return a.rng.BernoulliMask(p, BL)
 }
 
 // updateExpected applies round-to-pulse updates: n_ij = |scale·u_i·v_j|/Δw
@@ -800,11 +712,8 @@ func (a *Array) AlternatePulseAll(iters int) {
 // AdvanceTime applies dt seconds of drift/relaxation to every device that
 // models it (PCM pairs, ECRAM). Stuck devices do not drift: their
 // conductance path is frozen, which also preserves the corrupt value of
-// StuckValueStd devices. A fault hook may rescale dt (accelerated aging).
+// StuckValueStd devices.
 func (a *Array) AdvanceTime(dt float64) {
-	if a.hook != nil {
-		dt = a.hook.FilterAdvance(a, dt)
-	}
 	a.cells.drift(dt, a.stuck)
 }
 

@@ -167,68 +167,6 @@ func TestStuckDevicesFrozen(t *testing.T) {
 	}
 }
 
-func TestADCQuantization(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ADCBits = 2
-	cfg.OutputRange = 1
-	a := NewArray(1, 1, Ideal(), cfg, rngutil.New(7))
-	tgt := tensor.NewMatrix(1, 1)
-	tgt.Set(0, 0, 0.9)
-	a.Program(tgt, 2000)
-	y := a.Forward(tensor.Vector{1})
-	// 2-bit ADC over [-1,1]: levels at -1, -1/3, 1/3, 1.
-	valid := []float64{-1, -1.0 / 3, 1.0 / 3, 1}
-	ok := false
-	for _, lv := range valid {
-		if math.Abs(y[0]-lv) < 1e-9 {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Fatalf("output %v not on 2-bit grid", y[0])
-	}
-}
-
-func TestDACQuantizationClipping(t *testing.T) {
-	if got := quantize(5, 4, 1); got != 1 {
-		t.Errorf("quantize should clip: got %v", got)
-	}
-	if got := quantize(-5, 4, 1); got != -1 {
-		t.Errorf("quantize should clip negative: got %v", got)
-	}
-	if got := quantize(0.37, 0, 1); got != 0.37 {
-		t.Errorf("bits=0 should be identity: got %v", got)
-	}
-}
-
-func TestReadNoiseApplied(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadNoise = 0.1
-	a := NewArray(2, 2, Ideal(), cfg, rngutil.New(11))
-	x := tensor.Vector{1, 1}
-	y1 := a.Forward(x)
-	y2 := a.Forward(x)
-	if y1[0] == y2[0] && y1[1] == y2[1] {
-		t.Fatal("read noise should vary between reads")
-	}
-}
-
-func TestIRDropAttenuates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IRDrop = 0.5
-	a := NewArray(1, 256, Ideal(), cfg, rngutil.New(13))
-	tgt := tensor.NewMatrix(1, 256)
-	tgt.Fill(0.5)
-	a.Program(tgt, 3000)
-	ones := make(tensor.Vector, 256)
-	ones.Fill(1)
-	y := a.Forward(ones)
-	ideal := a.Weights().MatVec(ones)
-	if y[0] >= ideal[0]*0.6 {
-		t.Fatalf("IR drop should attenuate wide arrays: got %v vs ideal %v", y[0], ideal[0])
-	}
-}
-
 func TestOpCountsTrackArrayOps(t *testing.T) {
 	a := idealArray(8, 8, 17)
 	a.Forward(make(tensor.Vector, 8))
@@ -443,17 +381,6 @@ func TestZeroUpdateNoop(t *testing.T) {
 	if a.Counts.Updates != 0 {
 		t.Fatal("zero-scale update should not count")
 	}
-}
-
-func TestBadBLPanics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BL = 100
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewArray(2, 2, Ideal(), cfg, rngutil.New(1))
 }
 
 func TestModelNames(t *testing.T) {

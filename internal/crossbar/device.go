@@ -5,8 +5,8 @@
 // device non-idealities that drive the paper's discussion: bounded and
 // state-dependent conductance steps, update asymmetry, cycle-to-cycle and
 // device-to-device variability, stuck (non-yielding) crosspoints, PCM
-// unidirectionality and drift, FeFET endurance, and peripheral effects
-// (read noise, DAC/ADC quantization, IR-drop attenuation).
+// unidirectionality and drift, and FeFET endurance. The periphery is
+// ideal: reads are exact MVMs.
 //
 // The simulation methodology follows the paper's ref. [14] (Gokmen &
 // Vlasov): devices are behavioural — they expose how the weight changes per

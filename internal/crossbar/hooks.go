@@ -27,14 +27,13 @@ func (k OpKind) String() string {
 
 // FaultHook intercepts array operations so that run-time fault processes —
 // devices that fail mid-training, line opens, transient read upsets,
-// dropped write pulses, accelerated aging — can be injected over an
-// array's lifetime rather than only at construction (§II-B.2; Rasch et
-// al. argue non-idealities must act *during* simulation). Package faults
-// provides the campaign engine implementation; NopHook is a convenient
-// embedding base.
+// dropped write pulses — can be injected over an array's lifetime rather
+// than only at construction (§II-B.2; Rasch et al. argue non-idealities
+// must act *during* simulation). Package faults provides the campaign
+// engine implementation.
 //
-// Hooks see vectors after DAC quantization (inputs) and after the full
-// read chain (outputs), i.e. at the array periphery where the physical
+// Hooks see a private copy of the input vector before the MVM and the
+// output vector after it, i.e. at the array periphery where the physical
 // fault mechanisms live.
 //
 // Ordering guarantee: within one array operation the hook is called in a
@@ -61,10 +60,6 @@ type FaultHook interface {
 	// (write failure). Called for update, programming and maintenance
 	// pulses alike — a failing write path affects them all.
 	FilterPulses(a *Array, row, col, k int, up bool) int
-	// FilterAdvance may rescale the time advanced by AdvanceTime
-	// (accelerated-aging campaigns return dt multiplied by a stress
-	// factor).
-	FilterAdvance(a *Array, dt float64) float64
 }
 
 // SetFaultHook installs (or, with nil, removes) the array's fault hook.

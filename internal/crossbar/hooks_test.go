@@ -239,6 +239,3 @@ func (NopHook) FilterOutput(*Array, OpKind, tensor.Vector) {}
 
 // FilterPulses implements FaultHook.
 func (NopHook) FilterPulses(_ *Array, _, _, k int, _ bool) int { return k }
-
-// FilterAdvance implements FaultHook.
-func (NopHook) FilterAdvance(_ *Array, dt float64) float64 { return dt }

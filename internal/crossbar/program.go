@@ -8,7 +8,7 @@ import (
 
 // ProgramPolicy bounds the closed-loop write-verify-retry programming of
 // ProgramVerify. Each round re-verifies every device and re-programs the
-// ones still outside Tolerance, doubling the per-device pulse budget each
+// ones still more than 1.5× the model's mean step from target, doubling the per-device pulse budget each
 // retry (exponential pulse-count backoff): devices that converge cheaply
 // never pay for the stragglers, while noisy or write-degraded devices get
 // geometrically growing budgets instead of a single silent cap.
@@ -17,9 +17,6 @@ type ProgramPolicy struct {
 	MaxPulses int
 	// MaxRetries is the number of additional verify-retry rounds.
 	MaxRetries int
-	// Tolerance is the acceptable per-device |w − target| in weight units;
-	// 0 selects 1.5× the model's mean step.
-	Tolerance float64
 }
 
 // DefaultProgramPolicy mirrors the historical single-shot budget of 4000
@@ -69,10 +66,7 @@ func (a *Array) ProgramVerify(target *tensor.Matrix, pol ProgramPolicy) ProgramR
 	if pol.MaxPulses <= 0 {
 		pol.MaxPulses = DefaultProgramPolicy().MaxPulses
 	}
-	tol := pol.Tolerance
-	if tol <= 0 {
-		tol = 1.5 * a.model.MeanStep()
-	}
+	tol := 1.5 * a.model.MeanStep()
 	rep := ProgramReport{}
 	budget := pol.MaxPulses
 	for round := 0; ; round++ {

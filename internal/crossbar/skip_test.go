@@ -30,10 +30,6 @@ func (h *opLog) FilterOutput(_ *Array, op OpKind, y tensor.Vector) {
 // mirror, random-stream position, op counts) and any hook's op stream to
 // agree after every step.
 func TestSkipBackwardMatchesBackward(t *testing.T) {
-	noisy := DefaultConfig()
-	noisy.ReadNoise = 0.05
-	periph := DefaultConfig()
-	periph.DACBits, periph.ADCBits, periph.IRDrop = 5, 6, 0.1
 	cases := []struct {
 		name   string
 		model  Model
@@ -41,8 +37,6 @@ func TestSkipBackwardMatchesBackward(t *testing.T) {
 		hooked bool
 	}{
 		{"rram", RRAM(), DefaultConfig(), false},
-		{"rram-read-noise", RRAM(), noisy, false},
-		{"rram-periphery", RRAM(), periph, false},
 		{"rram-hooked", RRAM(), DefaultConfig(), true},
 		{"pcm", PCM(), DefaultConfig(), false},
 		{"ideal-linear", Ideal(), DefaultConfig(), false},

@@ -59,9 +59,6 @@ type Plan struct {
 	// that many ops (temperature excursions, retention events).
 	DriftBurstEvery int
 	DriftBurstDt    float64
-	// DriftScale multiplies all time advanced through AdvanceTime
-	// (accelerated aging); 0 means 1 (no scaling).
-	DriftScale float64
 }
 
 // Stats counts the fault events a campaign has injected so far.
@@ -254,14 +251,6 @@ func (e *Engine) FilterPulses(a *crossbar.Array, row, col, k int, up bool) int {
 		return 0
 	}
 	return k
-}
-
-// FilterAdvance implements crossbar.FaultHook: accelerated aging.
-func (e *Engine) FilterAdvance(a *crossbar.Array, dt float64) float64 {
-	if e.plan.DriftScale > 0 {
-		return dt * e.plan.DriftScale
-	}
-	return dt
 }
 
 var _ crossbar.FaultHook = (*Engine)(nil)

@@ -90,9 +90,6 @@ type MLPPipelineConfig struct {
 	// its digital reference above which the canary counts as diverged
 	// (top-1 disagreement always counts).
 	CanaryTol float64
-	// Repair enables checksum-probe detection + column remapping during
-	// recalibration.
-	Repair bool
 }
 
 // DefaultMLPPipelineConfig returns the R2 replica configuration.
@@ -104,7 +101,6 @@ func DefaultMLPPipelineConfig() MLPPipelineConfig {
 		SpareCols: 0.25,
 		VerifyTol: 0.05,
 		CanaryTol: 0.25,
-		Repair:    true,
 	}
 }
 
@@ -244,7 +240,7 @@ func (p *MLPPipeline) CanaryDivergence() float64 {
 }
 
 // Recalibrate implements Pipeline: write-verify the golden weights back
-// into every layer, remap freshly dead columns onto spares (when enabled),
+// into every layer, remap freshly dead columns onto spares,
 // and give relocated columns the same write-verify service. PCM legs that
 // saturated across repeated recalibrations get the difference-preserving
 // RESET first, restoring programming headroom (§II-B.1).
@@ -256,13 +252,11 @@ func (p *MLPPipeline) Recalibrate() RecalStats {
 		}
 		rep := arr.Program(p.golden[li], p.cfg.Prog)
 		st.Pulses += rep.Pulses
-		if p.cfg.Repair {
-			fix := arr.Repair(p.golden[li], 0, p.cfg.Prog.MaxPulses)
-			rep2 := arr.Program(p.golden[li], p.cfg.Prog)
-			st.Pulses += fix.Pulses + rep2.Pulses
-			st.DetectReads += fix.Diagnosis.Reads
-			st.Remapped += fix.Remapped
-		}
+		fix := arr.Repair(p.golden[li], 0, p.cfg.Prog.MaxPulses)
+		rep2 := arr.Program(p.golden[li], p.cfg.Prog)
+		st.Pulses += fix.Pulses + rep2.Pulses
+		st.DetectReads += fix.Diagnosis.Reads
+		st.Remapped += fix.Remapped
 		st.Residual += arr.Residual(p.golden[li]) / float64(len(p.arrays))
 	}
 	return st

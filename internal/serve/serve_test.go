@@ -72,8 +72,8 @@ func TestBreakerTransitions(t *testing.T) {
 }
 
 // TestCanaryFalsePositiveRate pins the canary probe's specificity: with no
-// fault engine attached, programming residual and read noise alone must not
-// flag divergence, or the watchdog would quarantine healthy replicas.
+// fault engine attached, programming residual alone must not flag
+// divergence, or the watchdog would quarantine healthy replicas.
 func TestCanaryFalsePositiveRate(t *testing.T) {
 	golden, train, _ := trainTestMLP(11)
 	pipe := NewMLPPipeline(golden, train.X[:8], DefaultMLPPipelineConfig(), nil, rngutil.New(77))

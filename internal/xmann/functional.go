@@ -20,7 +20,8 @@ import (
 // squashing — are assumed non-negative so that the all-ones input computes
 // L1 norms (the hardware uses differential line pairs for signed values).
 type TCPT struct {
-	arr *crossbar.Array
+	arr  *crossbar.Array
+	ones tensor.Vector // the L1-norm input; a hooked array filters a private copy
 }
 
 // NewTCPTWith builds a tile on an explicit device model and array config —
@@ -29,7 +30,9 @@ type TCPT struct {
 // expected-pulse, as X-MANN writes require.
 func NewTCPTWith(rows, cols int, model crossbar.Model, cfg crossbar.Config, rng *rngutil.Source) *TCPT {
 	cfg.Update = crossbar.UpdateExpected
-	return &TCPT{arr: crossbar.NewArray(rows, cols, model, cfg, rng)}
+	ones := tensor.NewVector(cols)
+	ones.Fill(1)
+	return &TCPT{arr: crossbar.NewArray(rows, cols, model, cfg, rng), ones: ones}
 }
 
 // Array exposes the underlying crossbar so campaign engines can attach
@@ -66,11 +69,7 @@ func (t *TCPT) DotProducts(key tensor.Vector) tensor.Vector { return t.arr.Forwa
 
 // L1Norms applies the all-ones vector along the columns, yielding every
 // row's L1 norm in a second crossbar op (§III-A2).
-func (t *TCPT) L1Norms() tensor.Vector {
-	ones := tensor.NewVector(t.arr.Cols())
-	ones.Fill(1)
-	return t.arr.Forward(ones)
-}
+func (t *TCPT) L1Norms() tensor.Vector { return t.arr.Forward(t.ones) }
 
 // SoftRead applies the attention weights along the rows and reads columns:
 // r = wᵀM in a single crossbar op (§III-A3).
@@ -170,24 +169,19 @@ func (d *DistributedMemory) runTiles(fn func(ti int)) {
 
 // Similarity computes the attention distribution over all memory rows with
 // the X-MANN similarity measure: softmax(β · dot_i / (‖m_i‖₁ + ε)),
-// using two crossbar ops per tile plus the SFU math. Tiles run in parallel;
-// scores are concatenated in tile order.
+// using two crossbar ops per tile plus the SFU math. Tiles run in parallel,
+// each writing its rows' scores into its own slice of one vector.
 func (d *DistributedMemory) Similarity(key tensor.Vector, beta float64) tensor.Vector {
-	parts := make([]tensor.Vector, len(d.Tiles))
+	scores := make(tensor.Vector, d.M)
 	d.runTiles(func(ti int) {
 		t := d.Tiles[ti]
 		dots := t.DotProducts(key)
 		norms := t.L1Norms()
-		s := make(tensor.Vector, len(dots))
+		s := scores[ti*d.TileRows:]
 		for i := range dots {
 			s[i] = dots[i] / (norms[i] + 1e-9)
 		}
-		parts[ti] = s
 	})
-	scores := make(tensor.Vector, 0, d.M)
-	for _, p := range parts {
-		scores = append(scores, p...)
-	}
 	return tensor.SoftmaxT(scores, beta)
 }
 
