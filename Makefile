@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: all build fmt vet lint test race check ci-sync deadcode portable fuzz \
 	smoke cluster-smoke determinism golden obs-smoke bench-quick \
-	bench-selftest bench-baseline campaign serve-campaign train-campaign \
-	cluster-campaign
+	bench-selftest bench-layout bench-baseline campaign serve-campaign \
+	train-campaign cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
@@ -193,6 +193,26 @@ bench-quick:
 # its own, so the root `./...` patterns never reach it.
 bench-selftest:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Where the repository benchmark's hot code lands: builds perfbench into
+# DETERMINISM_OUT with the environment perfbench/run.sh builds it with, and
+# prints the address mod 64 of the host probe and of the dense read
+# kernels. Code size anywhere in internal/ can move them by 32 bytes, and
+# the probe's offset changes how it reads, which scales every end-to-end
+# time and rate the benchmark reports, so compare it across two commits
+# before trusting their scaled deltas. Nothing is written under perfbench/.
+BENCH_LAYOUT_SYMS = main.probe 'repro/internal/tensor.(*Matrix).MatVec' \
+	'repro/internal/tensor.(*Matrix).MatVecT' repro/internal/par.forwardTile
+bench-layout:
+	mkdir -p $(DETERMINISM_OUT)
+	cd perfbench && GOFLAGS= GOWORK=off GOTOOLCHAIN=local GOPROXY=off \
+		$(GO) build -o $(abspath $(DETERMINISM_OUT))/perfbench .
+	$(GO) tool nm $(DETERMINISM_OUT)/perfbench > $(DETERMINISM_OUT)/perfbench.nm
+	@for s in $(BENCH_LAYOUT_SYMS); do \
+		a=$$(awk -v s="$$s" '$$2 == "T" && $$3 == s { print $$1 }' $(DETERMINISM_OUT)/perfbench.nm); \
+		if [ -z "$$a" ]; then echo "bench-layout: no text symbol $$s"; exit 1; fi; \
+		printf '%-42s %8s  mod 64 = %2d\n' "$$s" "$$a" $$((0x$$a % 64)); \
+	done
 
 # Regenerate the committed benchmark baseline (slow, full benchtime).
 bench-baseline:

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crossbar"
 	"repro/internal/dataset"
+	"repro/internal/faults"
 	"repro/internal/lsh"
 	"repro/internal/mann"
 	"repro/internal/perfmodel"
@@ -215,6 +216,29 @@ func BenchmarkMicroXMANNSimilarityFunctional(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dm.Similarity(key, 5)
 	}
+}
+
+// BenchmarkMicroProgramVerifyPCM is closed-loop write-verify of a 64×64
+// PCM array under a fault engine that drops writes, the per-pulse path the
+// serve and cluster campaigns run whenever they build, recalibrate or
+// canary a replica. Each iteration programs a freshly built array (built
+// outside the timer), so every iteration issues the same pulses.
+func BenchmarkMicroProgramVerifyPCM(b *testing.B) {
+	rng := rngutil.New(8)
+	target := tensor.NewMatrix(64, 64)
+	for i := range target.Data {
+		target.Data[i] = rng.Uniform(-0.5, 0.5)
+	}
+	pol := crossbar.DefaultProgramPolicy()
+	var pulses int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := crossbar.NewArray(64, 64, crossbar.PCM(), crossbar.DefaultConfig(), rngutil.New(9))
+		faults.NewEngine(faults.Plan{WriteFail: 0.05}, rngutil.New(10)).Attach(a)
+		b.StartTimer()
+		pulses = a.ProgramVerify(target, pol).Pulses
+	}
+	b.ReportMetric(float64(pulses), "pulses/op")
 }
 
 func BenchmarkMicroQuantizeVec(b *testing.B) {

@@ -276,11 +276,23 @@ func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 }
 
 // Backward implements nn.Mat: the transposed MVM yᵀ = Wᵀ·d obtained by
-// swapping the roles of rows and columns at the periphery.
+// swapping the roles of rows and columns at the periphery. It allocates
+// the output and runs BackwardInto.
 func (a *Array) Backward(d tensor.Vector) tensor.Vector {
+	y := make(tensor.Vector, a.cols)
+	a.BackwardInto(d, y)
+	return y
+}
+
+// BackwardInto is Backward writing yᵀ = Wᵀ·d into y, one element per
+// column; y's previous contents are overwritten.
+func (a *Array) BackwardInto(d, y tensor.Vector) {
 	a.acquire()
 	defer a.release()
 	a.checkBackward(d)
+	if len(y) != a.cols {
+		panic(fmt.Sprintf("crossbar: Backward output length %d, want %d", len(y), a.cols))
+	}
 	if a.hook != nil {
 		a.hook.BeginOp(a, OpBackward)
 	}
@@ -289,12 +301,12 @@ func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 		din = append(tensor.Vector(nil), d...)
 		a.hook.FilterInput(a, OpBackward, din)
 	}
-	y := par.MatVecT(a.w, din)
+	clear(y)
+	par.MatVecTInto(a.w, din, y)
 	if a.hook != nil {
 		a.hook.FilterOutput(a, OpBackward, y)
 	}
 	a.countBackward()
-	return y
 }
 
 // SkipBackward implements nn.BackwardSkipper: a backward cycle whose result
@@ -465,7 +477,7 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bo
 					continue
 				}
 				up := upRow == !math.Signbit(v[j]) // XOR with sign(v_j)
-				n += a.pulseFrom(rng, base+j, k, up)
+				n += a.pulseFrom(rng, base+j, i, j, k, up)
 			}
 		}
 		return n
@@ -640,23 +652,24 @@ func (a *Array) updateExpected(scale float64, u, v tensor.Vector) {
 				if k == 0 {
 					continue
 				}
-				pulses += a.pulseFrom(rng, base+j, k, target > 0)
+				pulses += a.pulseFrom(rng, base+j, i, j, k, target > 0)
 			}
 		}
 		return pulses
 	})
 }
 
-// pulseFrom applies k pulses to device idx (skipping stuck devices, routing
-// through the fault hook's write path), drawing cycle noise from rng. It
-// returns the pulses actually issued so tile-parallel callers can reduce
-// counts in deterministic order.
-func (a *Array) pulseFrom(rng *rngutil.Source, idx, k int, up bool) int64 {
+// pulseFrom applies k pulses to device idx = row·cols + col (skipping stuck
+// devices, routing through the fault hook's write path), drawing cycle
+// noise from rng. Callers pass the (row, col) they already hold, so a
+// hooked pulse pays no division. It returns the pulses actually issued so
+// tile-parallel callers can reduce counts in deterministic order.
+func (a *Array) pulseFrom(rng *rngutil.Source, idx, row, col, k int, up bool) int64 {
 	if a.stuck[idx] {
 		return 0
 	}
 	if a.hook != nil {
-		k = a.hook.FilterPulses(a, idx/a.cols, idx%a.cols, k, up)
+		k = a.hook.FilterPulses(a, row, col, k, up)
 		if k <= 0 {
 			return 0
 		}
@@ -668,8 +681,8 @@ func (a *Array) pulseFrom(rng *rngutil.Source, idx, k int, up bool) int64 {
 // pulse is the serial path (programming, single-device addressing): noise
 // draws come from the array's own stream and the count lands directly on
 // Counts.Pulses.
-func (a *Array) pulse(idx, k int, up bool) {
-	a.Counts.Pulses += a.pulseFrom(a.rng, idx, k, up)
+func (a *Array) pulse(idx, row, col, k int, up bool) {
+	a.Counts.Pulses += a.pulseFrom(a.rng, idx, row, col, k, up)
 }
 
 // UpdateDeviceExact applies exactly k pulses in the given direction to
@@ -679,7 +692,7 @@ func (a *Array) pulse(idx, k int, up bool) {
 func (a *Array) UpdateDeviceExact(i, j, k int, up bool) {
 	a.acquire()
 	defer a.release()
-	a.pulse(a.index("UpdateDeviceExact", i, j), k, up)
+	a.pulse(a.index("UpdateDeviceExact", i, j), i, j, k, up)
 }
 
 // PulseAll applies n identical pulses to every (non-stuck) device — the
@@ -692,8 +705,10 @@ func (a *Array) PulseAll(n int, up bool) {
 }
 
 func (a *Array) pulseAll(n int, up bool) {
-	for idx := range a.stuck {
-		a.pulse(idx, n, up)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < a.cols; j++ {
+			a.pulse(i*a.cols+j, i, j, n, up)
+		}
 	}
 }
 
@@ -786,12 +801,13 @@ func (a *Array) programDevice(idx int, want float64, maxPulses int) (pulses int,
 	dw := a.model.MeanStep()
 	aim := a.clampToBounds(want)
 	w := a.cells.w
+	row, col := idx/a.cols, idx%a.cols
 	for p := 0; p < maxPulses; p++ {
 		diff := aim - w[idx]
 		if math.Abs(diff) < dw {
 			break
 		}
-		a.pulse(idx, 1, diff > 0)
+		a.pulse(idx, row, col, 1, diff > 0)
 		pulses++
 	}
 	return pulses, math.Abs(want - w[idx])

@@ -315,6 +315,39 @@ func TestPCMDriftAndProjection(t *testing.T) {
 	}
 }
 
+// TestPCMSquareMatchesPow pins the exactness the PCM step law rests on:
+// headroom·headroom is bitwise math.Pow(headroom, 2) for every headroom
+// 1 − g/GMax the law can see (0, or at least 2⁻⁵³, whose square is never
+// subnormal), and the mean step DG·0.25 is DG·Pow(0.5, 2).
+func TestPCMSquareMatchesPow(t *testing.T) {
+	same := func(h float64) {
+		t.Helper()
+		if sq, pw := h*h, math.Pow(h, 2); math.Float64bits(sq) != math.Float64bits(pw) {
+			t.Fatalf("h=%v (%#x): h*h = %v, Pow(h, 2) = %v", h, math.Float64bits(h), sq, pw)
+		}
+	}
+	lo := math.Ldexp(1, -53) // smallest nonzero 1 − x for a float64 x < 1
+	hi := math.Nextafter(1, 0)
+	for _, h := range []float64{0, lo, hi, 1} {
+		same(h)
+	}
+	up, down := lo, hi
+	for k := 0; k < 1_000_000; k++ {
+		up, down = math.Nextafter(up, 1), math.Nextafter(down, 0)
+		same(up)
+		same(down)
+	}
+	rng := rngutil.New(41)
+	for k := 0; k < 1_000_000; k++ {
+		same(1 - rng.Float64())
+	}
+	for _, dg := range []float64{PCM().P.DG, 1, 3e-7, rng.Float64()} {
+		if got, want := (&PCMModel{P: PCMParams{DG: dg}}).MeanStep(), dg*math.Pow(0.5, 2); got != want {
+			t.Fatalf("MeanStep(DG=%v) = %v, want DG·Pow(0.5, 2) = %v", dg, got, want)
+		}
+	}
+}
+
 func TestFeFETEnduranceFreeze(t *testing.T) {
 	m := FeFET()
 	m.P.Endurance = 100

@@ -8,15 +8,15 @@ import (
 
 // PCMParams parameterizes the phase-change-memory differential pair of
 // §II-B.1. Each leg is a unidirectional conductance in [0, GMax] whose
-// potentiation step shrinks as it crystallizes (saturates); the signed
-// weight is w = G⁺ − G⁻. Depression of the weight is implemented by
-// potentiating the negative leg. Both legs drift toward lower conductance
-// over time with exponent Nu; a projection liner (§II-B.1, refs. [26],[27])
-// divides the effective drift exponent by ProjectionFactor.
+// potentiation step shrinks quadratically as it crystallizes (saturates):
+// step = DG·(1−g/GMax)², with no exponent parameter. The signed weight is
+// w = G⁺ − G⁻. Depression of the weight is implemented by potentiating
+// the negative leg. Both legs drift toward lower conductance over time
+// with exponent Nu; a projection liner (§II-B.1, refs. [26],[27]) divides
+// the effective drift exponent by ProjectionFactor.
 type PCMParams struct {
 	DG         float64 // nominal conductance increment per pulse
 	GMax       float64 // per-leg conductance ceiling
-	Gamma      float64 // saturation exponent: step ∝ (1−g/GMax)^Gamma
 	CycleNoise float64 // per-pulse multiplicative noise std
 	DeviceVar  float64 // device-to-device increment variation std
 	Nu         float64 // drift exponent ν: g(t) = g·(1+t/T0)^(−ν)
@@ -36,7 +36,6 @@ func PCM() *PCMModel {
 	return &PCMModel{P: PCMParams{
 		DG:         0.004,
 		GMax:       1.0,
-		Gamma:      2.0,
 		CycleNoise: 0.25,
 		DeviceVar:  0.15,
 		Nu:         0.03,
@@ -63,8 +62,8 @@ func (m *PCMModel) Name() string {
 
 // MeanStep implements Model.
 func (m *PCMModel) MeanStep() float64 {
-	// Step at g = GMax/2, the mid-programming regime.
-	return m.P.DG * math.Pow(0.5, m.P.Gamma)
+	// Step at g = GMax/2, the mid-programming regime: DG·(1/2)².
+	return m.P.DG * 0.25
 }
 
 // WeightBounds implements Model.
@@ -97,7 +96,10 @@ func (c *cells) pulsePCM(i, n int, up bool, rng *rngutil.Source) {
 		if headroom < 0 {
 			headroom = 0
 		}
-		step := p.DG * c.scale[i] * math.Pow(headroom, p.Gamma)
+		// headroom·headroom is bitwise math.Pow(headroom, 2): a nonzero
+		// headroom is ≥ 2⁻⁵³, so its square is never subnormal and both
+		// are the correctly rounded square (TestPCMSquareMatchesPow).
+		step := p.DG * c.scale[i] * (headroom * headroom)
 		if p.CycleNoise > 0 {
 			step *= 1 + rng.Normal(0, p.CycleNoise)
 		}

@@ -94,6 +94,11 @@ type Engine struct {
 	stats Stats
 	state map[*crossbar.Array]*arrayState
 	order []*crossbar.Array // attach order, for positional state export
+	// last and lastState cache the most recent stateOf lookup: a
+	// programming pass filters every pulse of one array in a row, and the
+	// cache spares each of them a pointer hash. Reset clears it with the map.
+	last      *crossbar.Array
+	lastState *arrayState
 }
 
 // NewEngine builds a campaign engine for plan, seeded by rng.
@@ -122,6 +127,7 @@ func (e *Engine) Reset() {
 	e.stats = Stats{}
 	e.state = map[*crossbar.Array]*arrayState{}
 	e.order = nil
+	e.last, e.lastState = nil, nil
 }
 
 // Attach installs the engine as a's fault hook and begins tracking it.
@@ -134,12 +140,16 @@ func (e *Engine) Attach(a *crossbar.Array) {
 func (e *Engine) Stats() Stats { return e.stats }
 
 func (e *Engine) stateOf(a *crossbar.Array) *arrayState {
+	if e.lastState != nil && a == e.last {
+		return e.lastState
+	}
 	s, ok := e.state[a]
 	if !ok {
 		s = &arrayState{openRows: map[int]bool{}, openCols: map[int]bool{}}
 		e.state[a] = s
 		e.order = append(e.order, a)
 	}
+	e.last, e.lastState = a, s
 	return s
 }
 
@@ -239,10 +249,11 @@ func (e *Engine) FilterOutput(a *crossbar.Array, op crossbar.OpKind, y tensor.Ve
 }
 
 // FilterPulses implements crossbar.FaultHook: open lines block the write
-// path, and write failures drop whole pulse trains.
+// path, and write failures drop whole pulse trains. While the array has no
+// open line, a pulse costs no map lookup: only the write-failure draw.
 func (e *Engine) FilterPulses(a *crossbar.Array, row, col, k int, up bool) int {
 	s := e.stateOf(a)
-	if s.openRows[row] || s.openCols[col] {
+	if len(s.openRows)+len(s.openCols) > 0 && (s.openRows[row] || s.openCols[col]) {
 		e.stats.BlockedUpdates++
 		return 0
 	}

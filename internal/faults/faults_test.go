@@ -394,3 +394,84 @@ func openLines(e *Engine, a *crossbar.Array) (rows, cols int) {
 	s := e.stateOf(a)
 	return len(s.openRows), len(s.openCols)
 }
+
+// TestFilterPulsesFollowsArray interleaves FilterPulses between two arrays
+// with a line open on only one of them, and checks every result and the
+// blocked and dropped counts against a model: a pulse on an open line of
+// its own array is blocked without a draw; any other pulse is dropped
+// exactly when the next write-failure draw of a twin stream fails. It
+// repeats after Reset, on a Clone and after an ExportState/ImportState
+// round trip, each time starting on the array last filtered, at the line
+// that array had open or not before, so an engine answering from stale
+// cached state fails.
+func TestFilterPulsesFollowsArray(t *testing.T) {
+	a, b := idealArray(4, 4, 1), idealArray(4, 4, 2)
+	// filter issues 15 pulses alternating first and second, starting and
+	// ending on first, the first of them at row 1 and column 3.
+	filter := func(stage string, e *Engine, ref *rngutil.Source, first, second *crossbar.Array,
+		openRow, openCol map[*crossbar.Array]int) {
+		t.Helper()
+		before := e.Stats()
+		var blocked, dropped int64
+		for k := 0; k < 15; k++ {
+			arr := []*crossbar.Array{first, second}[k%2]
+			row, col := (k/2+1)%4, (k/2+3)%4
+			want := 3
+			if r, ok := openRow[arr]; ok && r == row {
+				want = 0
+				blocked++
+			} else if c, ok := openCol[arr]; ok && c == col {
+				want = 0
+				blocked++
+			} else if ref.Bernoulli(0.5) {
+				want = 0
+				dropped++
+			}
+			if got := e.FilterPulses(arr, row, col, 3, true); got != want {
+				t.Fatalf("%s: pulse %d on array %p (%d,%d): %d land, want %d", stage, k, arr, row, col, got, want)
+			}
+		}
+		st := e.Stats()
+		if st.BlockedUpdates-before.BlockedUpdates != blocked || st.DroppedWrites-before.DroppedWrites != dropped {
+			t.Fatalf("%s: blocked %d dropped %d, want %d and %d", stage,
+				st.BlockedUpdates-before.BlockedUpdates, st.DroppedWrites-before.DroppedWrites, blocked, dropped)
+		}
+	}
+	none := map[*crossbar.Array]int{}
+
+	e := NewEngine(Plan{WriteFail: 0.5}, rngutil.New(3))
+	e.Attach(a)
+	e.Attach(b)
+	e.stateOf(a).openRows[1] = true
+	filter("fresh", e, rngutil.New(e.seed), a, b, map[*crossbar.Array]int{a: 1}, none)
+
+	// The last lookup was a, with row 1 open; Reset closes it.
+	e.Reset()
+	ref := rngutil.New(e.seed)
+	filter("reset", e, ref, a, b, none, none)
+	e.stateOf(b).openRows[1] = true
+	filter("reset, b open", e, ref, b, a, map[*crossbar.Array]int{b: 1}, none)
+
+	// The last lookup was b, with row 1 open; a clone has no line open.
+	c := e.Clone()
+	ref = rngutil.New(c.seed)
+	filter("clone", c, ref, b, a, none, none)
+	c.stateOf(a).openCols[3] = true
+	filter("clone, a col open", c, ref, a, b, none, map[*crossbar.Array]int{a: 3})
+
+	// Export e (attach order a, b; row 1 open on b) into an engine attached
+	// in the same order whose last lookup was b while b had no line open.
+	blob, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = rngutil.FromState(e.rng.State())
+	f := e.Clone()
+	f.Attach(a)
+	f.Attach(b)
+	f.FilterPulses(b, 1, 3, 1, true)
+	if err := f.ImportState(blob); err != nil {
+		t.Fatal(err)
+	}
+	filter("import", f, ref, b, a, map[*crossbar.Array]int{b: 1}, none)
+}

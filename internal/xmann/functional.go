@@ -71,9 +71,9 @@ func (t *TCPT) DotProducts(key tensor.Vector) tensor.Vector { return t.arr.Forwa
 // row's L1 norm in a second crossbar op (§III-A2).
 func (t *TCPT) L1Norms() tensor.Vector { return t.arr.Forward(t.ones) }
 
-// SoftRead applies the attention weights along the rows and reads columns:
-// r = wᵀM in a single crossbar op (§III-A3).
-func (t *TCPT) SoftRead(w tensor.Vector) tensor.Vector { return t.arr.Backward(w) }
+// SoftReadInto applies the attention weights along the rows and reads
+// columns into r: r = wᵀM in a single crossbar op (§III-A3).
+func (t *TCPT) SoftReadInto(w, r tensor.Vector) { t.arr.BackwardInto(w, r) }
 
 // SoftWrite performs the additive soft write M += w ⊗ add as one parallel
 // rank-1 update.
@@ -185,23 +185,24 @@ func (d *DistributedMemory) Similarity(key tensor.Vector, beta float64) tensor.V
 	return tensor.SoftmaxT(scores, beta)
 }
 
-// SoftRead computes r = wᵀM: each tile consumes its slice of w in parallel;
-// the global reduce unit sums the partial outputs in ascending tile order
-// (a fixed reduction order keeps the floating-point sum identical at every
+// SoftRead computes r = wᵀM: each tile consumes its slice of w in parallel
+// and writes its partial output into its own slice of one buffer; the
+// global reduce unit sums the partial outputs in ascending tile order (a
+// fixed reduction order keeps the floating-point sum identical at every
 // worker count).
 func (d *DistributedMemory) SoftRead(w tensor.Vector) tensor.Vector {
 	if len(w) != d.M {
 		panic("xmann: weight length mismatch")
 	}
-	parts := make([]tensor.Vector, len(d.Tiles))
+	parts := make(tensor.Vector, len(d.Tiles)*d.D)
 	d.runTiles(func(ti int) {
 		t := d.Tiles[ti]
 		start := ti * d.TileRows
-		parts[ti] = t.SoftRead(w[start : start+t.arr.Rows()])
+		t.SoftReadInto(w[start:start+t.arr.Rows()], parts[ti*d.D:(ti+1)*d.D])
 	})
 	out := tensor.NewVector(d.D)
-	for _, p := range parts {
-		out.Add(p)
+	for ti := range d.Tiles {
+		out.Add(parts[ti*d.D : (ti+1)*d.D])
 	}
 	return out
 }

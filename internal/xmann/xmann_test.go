@@ -54,7 +54,8 @@ func TestTCPTSoftReadTransposed(t *testing.T) {
 	tile := newTCPT(6, 4, rngutil.New(6))
 	tile.Program(mem)
 	attn := tensor.Vector{0.1, 0.3, 0.05, 0.25, 0.2, 0.1}
-	r := tile.SoftRead(attn)
+	r := make(tensor.Vector, 4)
+	tile.SoftReadInto(attn, r)
 	want := tile.Array().Weights().MatVecT(attn)
 	for j := range r {
 		if math.Abs(r[j]-want[j]) > 1e-9 {
