@@ -13,15 +13,21 @@
 //
 // Beyond the regression gate (-baseline; a regression must show in both
 // raw ns and the calibration-normalized cost, see gate), the report
-// enforces absolute perf budgets (-budgets, on by default):
+// enforces absolute perf budgets on every run without -obs:
 //
 //   - allocs/op ≤ 2 on every engine-path benchmark — the zero-alloc
 //     dispatch contract (a hot kernel pays for its own closure and output,
 //     never for dispatch);
+//   - forward-512 parallel/serial speedup ≥ 1.5× — a coarse sanity floor,
+//     since the single-sample kernel is memory-bound at 512;
 //   - update-512 parallel/serial speedup ≥ 2× — the RPU parallel-update
 //     claim (Gokmen & Vlasov 2016) as a continuously enforced invariant;
 //   - batched forward-1024 speedup ≥ 2.24× — the PR 4 headline number,
-//     carried forward to the sample-blocked batch path at 1024.
+//     carried forward to the sample-blocked batch path at 1024;
+//   - batched live service ≥ 1.5× the single-dispatch throughput.
+//
+// An -obs run measures instrumentation overhead instead, and its
+// instrumented timings are not held to the budgets.
 //
 // Budget and gate failures exit non-zero with named errors; a malformed or
 // legacy-named baseline fails loudly instead of being skipped.
@@ -97,6 +103,11 @@ const (
 	// allocBudget caps allocs/op on every engine-path benchmark (closure +
 	// output vector; dispatch itself must stay allocation-free).
 	allocBudget = 2
+	// forwardSpeedupFloor is the minimum forward-512 engine speedup over
+	// the serial reference. The single-sample kernel is memory-bound at
+	// 512, so this is a coarse sanity floor, well under the recorded
+	// baseline.
+	forwardSpeedupFloor = 1.5
 	// updateSpeedupFloor is the minimum update-512 engine speedup over the
 	// generic per-crosspoint reference path.
 	updateSpeedupFloor = 2.0
@@ -417,7 +428,6 @@ func run(workers int) Report {
 		fmt.Sprintf("serve_batch%d_%dx%d", serveBatchMax, serveWidth, serveTotalReqs), benchServe(serveBatchMax, workers))
 	rep.SpeedupServeBatch = srvSpeedup
 	par.SetWorkers(0)
-	par.SetPlan(par.Plan{})
 	rep.Benchmarks = append(rep.Benchmarks, srvS, srvP)
 	return rep
 }
@@ -473,6 +483,10 @@ func checkBudgets(rep Report) []error {
 			errs = append(errs, fmt.Errorf("%w: %s has %d allocs/op (budget %d)",
 				ErrAllocBudget, r.Name, r.AllocsPerOp, allocBudget))
 		}
+	}
+	if rep.SpeedupForward512 < forwardSpeedupFloor {
+		errs = append(errs, fmt.Errorf("%w: forward 512 %.2fx < %.2fx",
+			ErrSpeedupBudget, rep.SpeedupForward512, forwardSpeedupFloor))
 	}
 	if rep.SpeedupUpdate512 < updateSpeedupFloor {
 		errs = append(errs, fmt.Errorf("%w: update 512 %.2fx < %.2fx",
@@ -572,9 +586,7 @@ func main() {
 	benchtime := flag.String("benchtime", "1s", "per-benchmark measuring time (testing -benchtime syntax)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against (empty = no gate)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed normalized regression before the gate fails (with -obs, also the bound on instrumented/plain)")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail unless forward 512 speedup reaches this (0 = no gate)")
-	budgets := flag.Bool("budgets", true, "enforce the absolute alloc and speedup budgets")
-	withObs := flag.Bool("obs", false, "measure every benchmark with the tile engine's observability registry detached and attached, interleaved, and bound the overhead at -tolerance")
+	withObs := flag.Bool("obs", false, "measure every benchmark with the tile engine's observability registry detached and attached, interleaved, and bound the overhead at -tolerance instead of enforcing the perf budgets")
 	quick := flag.Bool("quick", false, "emit the deterministic kernel checksum table instead of timings")
 	flag.Parse()
 
@@ -606,13 +618,12 @@ func main() {
 		rep.SpeedupServeBatch)
 
 	failed := false
-	if *budgets {
+	if overhead == nil {
 		for _, err := range checkBudgets(rep) {
 			fmt.Fprintf(os.Stderr, "BUDGET %v\n", err)
 			failed = true
 		}
-	}
-	if overhead != nil {
+	} else {
 		errs := overhead.check(*tolerance)
 		for _, err := range errs {
 			fmt.Fprintf(os.Stderr, "OBS %v\n", err)
@@ -649,11 +660,6 @@ func main() {
 		} else {
 			fmt.Printf("no regressions beyond %.0f%% against %s\n", *tolerance*100, basePath)
 		}
-	}
-	if *minSpeedup > 0 && rep.SpeedupForward512 < *minSpeedup {
-		fmt.Fprintf(os.Stderr, "REGRESSION forward 512 speedup %.2fx below required %.2fx\n",
-			rep.SpeedupForward512, *minSpeedup)
-		failed = true
 	}
 	if failed {
 		os.Exit(1)

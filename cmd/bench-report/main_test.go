@@ -134,6 +134,7 @@ func TestCheckBudgets(t *testing.T) {
 			{Name: "forward_parallel_512", AllocsPerOp: allocBudget},
 			{Name: "update_parallel_512", AllocsPerOp: 1},
 		},
+		SpeedupForward512:       forwardSpeedupFloor + 0.5,
 		SpeedupUpdate512:        updateSpeedupFloor + 0.5,
 		SpeedupForwardBatch1024: batchSpeedupFloor + 0.5,
 		SpeedupServeBatch:       serveBatchSpeedupFloor + 0.5,
@@ -148,6 +149,13 @@ func TestCheckBudgets(t *testing.T) {
 	errs := checkBudgets(over)
 	if len(errs) != 1 || !errors.Is(errs[0], ErrAllocBudget) {
 		t.Fatalf("alloc violation: errs = %v, want one ErrAllocBudget", errs)
+	}
+
+	slowFwd := clean
+	slowFwd.SpeedupForward512 = forwardSpeedupFloor - 0.1
+	errs = checkBudgets(slowFwd)
+	if len(errs) != 1 || !errors.Is(errs[0], ErrSpeedupBudget) || !strings.Contains(errs[0].Error(), "forward 512") {
+		t.Fatalf("forward speedup violation: errs = %v, want one ErrSpeedupBudget naming forward 512", errs)
 	}
 
 	slowUpd := clean

@@ -25,13 +25,14 @@ import (
 // The width is chosen to put the single-dispatch arm in the memory-bound
 // regime this service actually batches for: at 1536 the layer matrix is
 // ~18 MB, far beyond cache, so single dispatch re-streams the weights from
-// memory for every request while a coalesced block (BatchSpan covering the
-// whole block) streams them once. That traffic amortization is the
-// mechanism, not scheduler luck, so the speedup is stable under load.
+// memory for every request while a coalesced block streams them once
+// (serveBatchMax is par.BatchSpan, so one sample block covers it). That
+// traffic amortization is the mechanism, not scheduler luck, so the
+// speedup is stable under load.
 const (
 	serveWidth     = 1536
 	serveTotalReqs = 192
-	serveBatchMax  = 16
+	serveBatchMax  = par.BatchSpan
 	// serveBenchReps is the rep count for the service pair's min-of-N
 	// estimate — more than benchReps because whole-service ops are long and
 	// each arm needs enough chances to land a rep clear of machine noise.
@@ -91,15 +92,6 @@ func benchServe(bmax, workers int) func(b *testing.B) {
 		gcPct := debug.SetGCPercent(-1)
 		defer debug.SetGCPercent(gcPct)
 		par.SetWorkers(workers)
-		// Lift the plan so one sample block spans a whole coalesced dispatch:
-		// the weight matrix is then streamed once per block instead of once
-		// per BatchSpan-sized slice of it. The single-dispatch arm runs the
-		// default plan — its blocks are single samples either way.
-		if bmax > 1 {
-			par.SetPlan(par.Plan{BatchSpan: bmax})
-		} else {
-			par.SetPlan(par.Plan{})
-		}
 		net, xs := serveWorkload()
 		pol := serve.PolicyNone()
 		pol.Deadline = 1e6

@@ -17,14 +17,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -41,14 +37,10 @@ func main() {
 	nodes := flag.Int("nodes", 0, "fleet size (0 = default)")
 	duration := flag.Float64("duration", 0, "arrival window in virtual seconds (0 = default)")
 	workers := flag.Int("workers", 0, "tile-engine worker count (0 = all CPUs); any value yields bit-identical output")
-	selfcheck := flag.Bool("obs-selfcheck", false, "after the campaign, probe /metrics, /traces and /debug/pprof/profile over HTTP (requires -obs-addr)")
 	var hook obs.Hook
-	hook.BindFlags(flag.CommandLine)
+	hook.BindFlags(flag.CommandLine, "cluster_sim_completed_total", `cluster_node_served_total{node="0"}`)
 	flag.Parse()
 	par.SetWorkers(*workers)
-	if *selfcheck && hook.Addr == "" {
-		log.Fatal("-obs-selfcheck requires -obs-addr")
-	}
 	if err := hook.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -80,8 +72,8 @@ func main() {
 	} else {
 		err = cluster.RunR6(os.Stdout, cfg)
 	}
-	if err == nil && *selfcheck {
-		err = runSelfcheck(hook.Server())
+	if err == nil {
+		err = hook.SelfCheck()
 	}
 	if ferr := hook.Finish(); err == nil {
 		err = ferr
@@ -89,50 +81,4 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runSelfcheck exercises the live observability endpoint the way the CI
-// smoke test needs: every path must answer 200 with a non-empty body, and
-// /metrics must carry the fleet counters — labeled per-node series
-// included — from the campaign that just ran.
-func runSelfcheck(s *obs.Server) error {
-	if s == nil {
-		return fmt.Errorf("obs-selfcheck: HTTP endpoint is not running")
-	}
-	base := "http://" + s.Addr()
-	client := &http.Client{Timeout: 30 * time.Second}
-	for _, path := range []string{"/metrics", "/traces", "/debug/pprof/profile?seconds=1"} {
-		body, err := fetch(client, base+path)
-		if err != nil {
-			return fmt.Errorf("obs-selfcheck: %s: %w", path, err)
-		}
-		if path == "/metrics" {
-			for _, series := range []string{"cluster_sim_completed_total", `cluster_node_served_total{node="0"}`} {
-				if !bytes.Contains(body, []byte(series)) {
-					return fmt.Errorf("obs-selfcheck: /metrics is missing %s", series)
-				}
-			}
-		}
-		fmt.Printf("obs-selfcheck: GET %-32s %d bytes OK\n", path, len(body))
-	}
-	return nil
-}
-
-func fetch(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("empty body")
-	}
-	return body, nil
 }

@@ -14,14 +14,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -40,14 +36,10 @@ func main() {
 	duration := flag.Float64("duration", 0, "arrival window in virtual seconds (0 = default)")
 	batch := flag.Int("batch", 0, "coalesce up to N queued requests per dispatch on every policy arm (0 or 1 = off)")
 	workers := flag.Int("workers", 0, "tile-engine worker count (0 = all CPUs); any value yields bit-identical output")
-	selfcheck := flag.Bool("obs-selfcheck", false, "after the campaign, probe /metrics, /traces and /debug/pprof/profile over HTTP (requires -obs-addr)")
 	var hook obs.Hook
-	hook.BindFlags(flag.CommandLine)
+	hook.BindFlags(flag.CommandLine, "serve_sim_completed_total")
 	flag.Parse()
 	par.SetWorkers(*workers)
-	if *selfcheck && hook.Addr == "" {
-		log.Fatal("-obs-selfcheck requires -obs-addr")
-	}
 	if err := hook.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -83,8 +75,8 @@ func main() {
 	default:
 		log.Fatalf("unknown pipeline %q (want mlp, xmann, or all)", *pipeline)
 	}
-	if err == nil && *selfcheck {
-		err = runSelfcheck(hook.Server())
+	if err == nil {
+		err = hook.SelfCheck()
 	}
 	if ferr := hook.Finish(); err == nil {
 		err = ferr
@@ -102,46 +94,4 @@ func printArms(pipeline, title string, arms []serve.ArmResult) error {
 	}
 	fmt.Print(serve.FormatTable(title, arms))
 	return nil
-}
-
-// runSelfcheck exercises the live observability endpoint the way the CI
-// smoke test needs: every path must answer 200 with a non-empty body, and
-// /metrics must carry at least one serve_sim series from the campaign that
-// just ran.
-func runSelfcheck(s *obs.Server) error {
-	if s == nil {
-		return fmt.Errorf("obs-selfcheck: HTTP endpoint is not running")
-	}
-	base := "http://" + s.Addr()
-	client := &http.Client{Timeout: 30 * time.Second}
-	for _, path := range []string{"/metrics", "/traces", "/debug/pprof/profile?seconds=1"} {
-		body, err := fetch(client, base+path)
-		if err != nil {
-			return fmt.Errorf("obs-selfcheck: %s: %w", path, err)
-		}
-		if path == "/metrics" && !bytes.Contains(body, []byte("serve_sim_completed_total")) {
-			return fmt.Errorf("obs-selfcheck: /metrics is missing serve_sim_completed_total")
-		}
-		fmt.Printf("obs-selfcheck: GET %-32s %d bytes OK\n", path, len(body))
-	}
-	return nil
-}
-
-func fetch(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("empty body")
-	}
-	return body, nil
 }

@@ -113,15 +113,12 @@ type updateArena struct {
 	colSlotBuf []int32
 }
 
-// ensureArena sizes the update scratch buffers on first use, and resizes
-// the per-tile ones if the active par.Plan has changed the tile grid since
-// (a plan is normally fixed for the life of the process, but the arena is
-// scratch — it must simply follow the grid the kernels run on).
+// ensureArena sizes the update scratch buffers on first use.
 func (a *Array) ensureArena() {
-	tiles := par.Tiles(a.rows)
-	if a.arena.rowTrains != nil && len(a.arena.pulses) >= tiles {
+	if a.arena.rowTrains != nil {
 		return
 	}
+	tiles := par.Tiles(a.rows)
 	a.arena.rowTrains = make([]uint64, a.rows)
 	a.arena.colTrains = make([]uint64, a.cols)
 	a.arena.pulses = make([]int64, tiles)
@@ -423,7 +420,7 @@ func (a *Array) runUpdateTiles(fn func(t, lo, hi int) int64) {
 		lo, hi := par.Bounds(t, rows)
 		pulses[t] = fn(t, lo, hi)
 	})
-	for _, n := range pulses[:tiles] {
+	for _, n := range pulses {
 		a.Counts.Pulses += n
 	}
 }

@@ -97,27 +97,6 @@ func TestOneHotUpdateSeedsOnlyDrivenTile(t *testing.T) {
 	}
 }
 
-// TestPulseCountFollowsPlanChange checks that an update under a smaller
-// tile grid than the arena was sized for counts only the live tiles'
-// pulses. The noiseless-linear kernel draws no tile noise, so its result
-// and pulse count do not depend on the grid.
-func TestPulseCountFollowsPlanChange(t *testing.T) {
-	defer par.SetPlan(par.DefaultPlan())
-	data := rngutil.New(9)
-	u, v := scriptVec(128, 0, data), scriptVec(16, 0, data)
-	pulses := func(spans ...int) int64 {
-		a := NewArray(128, 16, Ideal(), DefaultConfig(), rngutil.New(10))
-		for _, span := range spans {
-			par.SetPlan(par.Plan{TileSpan: span})
-			a.Update(0.05, u, v)
-		}
-		return a.Counts.Pulses
-	}
-	if got, want := pulses(32, 64), pulses(64, 64); got != want {
-		t.Fatalf("pulses after a 32- then 64-row grid: %d, want %d", got, want)
-	}
-}
-
 // TestUpdateAllocBudget is the crossbar-level twin of the par alloc tests:
 // once the arena is warm, the hot array ops stay within the ≤2 allocs/op
 // budget the bench-report gate enforces (output vector and/or dispatch

@@ -73,10 +73,11 @@ type Stats struct {
 	BlockedUpdates int64 // pulse trains blocked by open lines
 }
 
-// arrayState is the per-array campaign state (which lines have opened).
+// arrayState is the per-array campaign state: which lines have opened,
+// one flag per row and per column of the array.
 type arrayState struct {
-	openRows map[int]bool
-	openCols map[int]bool
+	openRows []bool
+	openCols []bool
 }
 
 // Engine is a seeded fault campaign bound to one or more arrays via
@@ -145,7 +146,7 @@ func (e *Engine) stateOf(a *crossbar.Array) *arrayState {
 	}
 	s, ok := e.state[a]
 	if !ok {
-		s = &arrayState{openRows: map[int]bool{}, openCols: map[int]bool{}}
+		s = &arrayState{openRows: make([]bool, a.Rows()), openCols: make([]bool, a.Cols())}
 		e.state[a] = s
 		e.order = append(e.order, a)
 	}
@@ -249,11 +250,11 @@ func (e *Engine) FilterOutput(a *crossbar.Array, op crossbar.OpKind, y tensor.Ve
 }
 
 // FilterPulses implements crossbar.FaultHook: open lines block the write
-// path, and write failures drop whole pulse trains. While the array has no
-// open line, a pulse costs no map lookup: only the write-failure draw.
+// path, and write failures drop whole pulse trains. The open-line test is
+// two flag loads; the write-failure draw is the rest of a pulse's cost.
 func (e *Engine) FilterPulses(a *crossbar.Array, row, col, k int, up bool) int {
 	s := e.stateOf(a)
-	if len(s.openRows)+len(s.openCols) > 0 && (s.openRows[row] || s.openCols[col]) {
+	if s.openRows[row] || s.openCols[col] {
 		e.stats.BlockedUpdates++
 		return 0
 	}

@@ -392,7 +392,7 @@ func maxAbsDiff(a, b tensor.Vector) float64 {
 // openLines reports how many row and column lines have opened on a.
 func openLines(e *Engine, a *crossbar.Array) (rows, cols int) {
 	s := e.stateOf(a)
-	return len(s.openRows), len(s.openCols)
+	return len(openIndices(s.openRows)), len(openIndices(s.openCols))
 }
 
 // TestFilterPulsesFollowsArray interleaves FilterPulses between two arrays

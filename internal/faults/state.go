@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 
 	"repro/internal/rngutil"
 )
@@ -37,22 +36,25 @@ func (e *Engine) ExportState() ([]byte, error) {
 	st := EngineState{RNG: e.rng.State(), Stats: e.stats}
 	for _, a := range e.order {
 		s := e.state[a]
-		ls := LineState{}
-		for r := range s.openRows {
-			ls.Rows = append(ls.Rows, r)
-		}
-		for c := range s.openCols {
-			ls.Cols = append(ls.Cols, c)
-		}
-		sort.Ints(ls.Rows)
-		sort.Ints(ls.Cols)
-		st.Lines = append(st.Lines, ls)
+		st.Lines = append(st.Lines, LineState{Rows: openIndices(s.openRows), Cols: openIndices(s.openCols)})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("faults: encode state: %w", err)
 	}
 	return buf.Bytes(), nil
+}
+
+// openIndices lists the indices of the open lines in ascending order, nil
+// when none is open.
+func openIndices(open []bool) []int {
+	var idx []int
+	for i, o := range open {
+		if o {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 // ImportState implements ckpt.StateProvider: it restores a previously
@@ -71,8 +73,8 @@ func (e *Engine) ImportState(blob []byte) error {
 	e.stats = st.Stats
 	for i, a := range e.order {
 		s := e.state[a]
-		s.openRows = map[int]bool{}
-		s.openCols = map[int]bool{}
+		clear(s.openRows)
+		clear(s.openCols)
 		for _, r := range st.Lines[i].Rows {
 			if r < 0 || r >= a.Rows() {
 				return fmt.Errorf("faults: open row %d out of range for array %d", r, i)

@@ -11,7 +11,9 @@ import (
 // TestMatVecBatchBitIdentical pins the batched kernel's guarantee: every
 // per-sample output is bit-identical to the scalar reference and to the
 // single-sample tiled kernel, at every worker count, for batch sizes that
-// are and are not multiples of BatchSpan.
+// are and are not multiples of BatchSpan: 16 is one full block, which runs
+// the 6+6+4 accumulator chains, and 17 and 33 split into blocks with a
+// short tail.
 func TestMatVecBatchBitIdentical(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rngutil.New(99)
@@ -19,7 +21,7 @@ func TestMatVecBatchBitIdentical(t *testing.T) {
 	for _, sh := range shapes {
 		rows, cols := sh[0], sh[1]
 		m := randomMatrix(rows, cols, rng)
-		for _, ns := range []int{1, 2, 3, 4, 5, 8, 13} {
+		for _, ns := range []int{1, 2, 3, 4, 5, 8, 13, 16, 17, 33} {
 			xs := make([]tensor.Vector, ns)
 			want := make([]tensor.Vector, ns)
 			for s := range xs {
@@ -46,11 +48,11 @@ func TestMatVecBatchBitIdentical(t *testing.T) {
 // TestBatchBoundsPartition pins the sample-block decomposition the same way
 // TestBoundsPartition pins the tile grid.
 func TestBatchBoundsPartition(t *testing.T) {
-	for _, ns := range []int{0, 1, 3, 4, 5, 8, 9, 100} {
-		blocks := BatchBlocks(ns)
+	for _, ns := range []int{0, 1, 3, 4, 5, 8, 9, 15, 16, 17, 33, 100} {
+		blocks := batchBlocks(ns)
 		covered, prevHi := 0, 0
 		for b := 0; b < blocks; b++ {
-			lo, hi := BatchBounds(b, ns)
+			lo, hi := batchBounds(b, ns)
 			if lo != prevHi || hi <= lo || hi > ns {
 				t.Fatalf("ns=%d block %d has bounds [%d,%d), prev end %d", ns, b, lo, hi, prevHi)
 			}

@@ -199,13 +199,12 @@ func TestAxpyLeavesMatchGoTwins(t *testing.T) {
 	}
 }
 
-// TestBackwardTileChunks cuts the columns the way RunChunks does at 1 to 5
-// workers and checks every chunk, zero-skip rows included, against the
-// scalar reference.
+// TestBackwardTileChunks cuts the columns into 1 to 5 contiguous chunks
+// the way RunChunks cuts them across workers (chunk boundaries at
+// c·cols/p, here at any column rather than only on wide arrays) and checks
+// every chunk, zero-skip rows included, against the scalar reference.
 func TestBackwardTileChunks(t *testing.T) {
 	requireAVX2(t)
-	defer SetPlan(DefaultPlan())
-	SetPlan(Plan{TileSpan: 4})
 	rng := rngutil.New(18)
 	for trial := 0; trial < 60; trial++ {
 		special := trial%2 == 1
@@ -221,7 +220,7 @@ func TestBackwardTileChunks(t *testing.T) {
 		}
 		want := m.MatVecT(x)
 		for workers := 1; workers <= 5; workers++ {
-			p := min(workers, Tiles(cols))
+			p := min(workers, cols)
 			got := make(tensor.Vector, cols)
 			for c := 0; c < p; c++ {
 				lo, hi := c*cols/p, (c+1)*cols/p

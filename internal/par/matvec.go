@@ -212,22 +212,19 @@ func forwardRowsBatch(w []float64, cols int, xs, ys []tensor.Vector, lo, hi int)
 	}
 }
 
-// BatchBlocks reports how many sample blocks of the active plan's
-// BatchSpan cover ns samples.
-func BatchBlocks(ns int) int {
+// batchBlocks reports how many BatchSpan sample blocks cover ns samples.
+func batchBlocks(ns int) int {
 	if ns <= 0 {
 		return 0
 	}
-	span := batchSpan()
-	return (ns + span - 1) / span
+	return (ns + BatchSpan - 1) / BatchSpan
 }
 
-// BatchBounds reports the half-open sample range [lo, hi) of block b over
+// batchBounds reports the half-open sample range [lo, hi) of block b over
 // ns samples.
-func BatchBounds(b, ns int) (lo, hi int) {
-	span := batchSpan()
-	lo = b * span
-	hi = lo + span
+func batchBounds(b, ns int) (lo, hi int) {
+	lo = b * BatchSpan
+	hi = lo + BatchSpan
 	if hi > ns {
 		hi = ns
 	}
@@ -255,11 +252,11 @@ func MatVecBatchInto(m *tensor.Matrix, xs, ys []tensor.Vector) {
 		}
 	}
 	rowTiles := Tiles(m.Rows)
-	blocks := BatchBlocks(len(xs))
+	blocks := batchBlocks(len(xs))
 	Run(rowTiles*blocks, func(g int) {
 		b, t := g/rowTiles, g%rowTiles
 		lo, hi := Bounds(t, m.Rows)
-		s0, s1 := BatchBounds(b, len(xs))
+		s0, s1 := batchBounds(b, len(xs))
 		forwardTileBatch(m.Data, m.Cols, xs[s0:s1], ys[s0:s1], lo, hi)
 	})
 }

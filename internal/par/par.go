@@ -10,8 +10,8 @@
 // Two properties guarantee it:
 //
 //  1. The tile decomposition is fixed — Tiles/Bounds depend only on the
-//     problem size and the active Plan (the configured tile/batch spans),
-//     never on the worker count or on which worker picks up which tile.
+//     problem size, never on the worker count or on which worker picks up
+//     which tile.
 //  2. Every tile writes only tile-disjoint state, and any randomness a tile
 //     consumes comes from a stream keyed by the tile index (see
 //     rngutil.Source.Sub), never from a stream shared across tiles.
@@ -33,76 +33,19 @@ import (
 	"sync/atomic"
 )
 
-// DefaultTileSpan is the default tile extent: forward MVMs shard into
-// TileSpan-row tiles, backward MVMs into TileSpan-column tiles, and updates
-// into TileSpan-row tiles.
-const DefaultTileSpan = 64
+// TileSpan is the tile extent: forward MVMs shard into TileSpan-row tiles,
+// backward MVMs into TileSpan-column tiles, and updates into TileSpan-row
+// tiles. The grid is fixed, like a physical crossbar tile: pulse updates
+// draw from RNG streams keyed by tile index, so the span is part of every
+// seeded result.
+const TileSpan = 64
 
-// DefaultBatchSpan is the default sample-block extent of the batched
-// forward kernel: the multi-sample grid shards into BatchSpan-sample
-// blocks, so one load of a weight row feeds BatchSpan dot products.
-const DefaultBatchSpan = 4
-
-// Plan is the blocking geometry the kernels execute under: the tile extent
-// the row/column grids shard into and the sample-block extent of the
-// batched kernels. The geometry is part of the *configuration*, not of the
-// schedule: for a fixed plan, results are bit-identical at every worker
-// count (the determinism contract), and the default plan reproduces the
-// historical hard-coded TileSpan=64 / BatchSpan=4 grids byte for byte.
-// Changing the plan changes which RNG substream a pulse update's tile
-// draws from (streams are keyed by tile index), so a plan is chosen once
-// per process — before arrays are built — not swapped mid-campaign.
-type Plan struct {
-	TileSpan  int // rows (or columns) per tile; <=0 means DefaultTileSpan
-	BatchSpan int // samples per block; <=0 means DefaultBatchSpan
-}
-
-// DefaultPlan is the geometry every campaign and committed golden was
-// produced under.
-func DefaultPlan() Plan {
-	return Plan{TileSpan: DefaultTileSpan, BatchSpan: DefaultBatchSpan}
-}
-
-// normalize fills unset (or nonsensical) fields with the defaults.
-func (p Plan) normalize() Plan {
-	if p.TileSpan <= 0 {
-		p.TileSpan = DefaultTileSpan
-	}
-	if p.BatchSpan <= 0 {
-		p.BatchSpan = DefaultBatchSpan
-	}
-	return p
-}
-
-// plan packs the active geometry into one word (TileSpan in the high 32
-// bits, BatchSpan in the low 32) so a kernel reads a consistent pair with
-// a single atomic load.
-var plan = func() *atomic.Uint64 {
-	var v atomic.Uint64
-	v.Store(packPlan(DefaultPlan()))
-	return &v
-}()
-
-func packPlan(p Plan) uint64 {
-	return uint64(uint32(p.TileSpan))<<32 | uint64(uint32(p.BatchSpan))
-}
-
-// SetPlan installs p (normalized) as the active blocking geometry. Call it
-// before constructing crossbar arrays or launching campaigns: per-tile
-// arena buffers and RNG substreams are laid out against the active grid.
-func SetPlan(p Plan) {
-	plan.Store(packPlan(p.normalize()))
-}
-
-// tileSpan is the active tile extent (hot-path accessor).
-func tileSpan() int {
-	return int(uint32(plan.Load() >> 32))
-}
-
-// batchSpan is the active sample-block extent (hot-path accessor).
-func batchSpan() int {
-	return int(uint32(plan.Load()))
-}
+// BatchSpan is the sample-block extent of the batched forward kernel: the
+// multi-sample grid shards into BatchSpan-sample blocks, so one load of a
+// weight row feeds up to BatchSpan dot products. Every output element
+// accumulates in the same order whatever the block boundaries, so the span
+// moves no result bit, only how often a batch walks the weights.
+const BatchSpan = 16
 
 // workers holds the configured worker count; 0 means "use GOMAXPROCS at
 // call time" (the default).
@@ -126,20 +69,18 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Tiles reports how many tiles of the active plan's TileSpan cover [0, n).
+// Tiles reports how many TileSpan tiles cover [0, n).
 func Tiles(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	span := tileSpan()
-	return (n + span - 1) / span
+	return (n + TileSpan - 1) / TileSpan
 }
 
 // Bounds reports the half-open index range [lo, hi) of tile t over [0, n).
 func Bounds(t, n int) (lo, hi int) {
-	span := tileSpan()
-	lo = t * span
-	hi = lo + span
+	lo = t * TileSpan
+	hi = lo + TileSpan
 	if hi > n {
 		hi = n
 	}
