@@ -205,11 +205,21 @@ func RunR6(w io.Writer, cfg CampaignConfig) error {
 		cfg.Nodes, cfg.Shards, cfg.ReplicasPer, cfg.Traffic.BaseRate, cfg.Duration, cfg.Policies[0].Deadline*1e3)
 	fmt.Fprintf(w, "policies: none (blind routing, stale served), detect (failure detector + retry + staleness rejection), full (+ hedging + admission control)\n\n")
 	results := Campaign(cfg)
+	if err := checkCells(results); err != nil {
+		return err
+	}
+	fmt.Fprint(w, FormatClusterTable("sharded analog serving fleet (node-level chaos)", results))
+	return nil
+}
+
+// checkCells runs the request-accounting invariant (Metrics.Check) on every
+// cell, as serve.CheckArms does for R2; the error names the first failing
+// cell as scenario/level/policy.
+func checkCells(results []CellResult) error {
 	for _, r := range results {
 		if err := r.M.Check(); err != nil {
 			return fmt.Errorf("%s/%.2f/%s: %w", r.Scenario, r.Level, r.Policy, err)
 		}
 	}
-	fmt.Fprint(w, FormatClusterTable("sharded analog serving fleet (node-level chaos)", results))
 	return nil
 }

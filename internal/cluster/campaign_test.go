@@ -85,6 +85,36 @@ func TestClusterAccounting(t *testing.T) {
 	}
 }
 
+// TestTerminalRefusesSecondDisposition calls the router's terminal twice
+// on one closed-loop request. The second call is refused, counted as a
+// violation that fails Check, and does not push a second think-time
+// arrival for the client.
+func TestTerminalRefusesSecondDisposition(t *testing.T) {
+	s := &sim{
+		cfg:     SimConfig{Duration: 10, Traffic: TrafficConfig{Tenants: []Tenant{{ThinkTime: 0.05}}}},
+		thinkRN: rngutil.New(1),
+	}
+	req := &cReq{client: 0}
+	s.m.Offered++
+	if !s.terminal(0, req) {
+		t.Fatal("first disposition refused")
+	}
+	s.m.Completed++
+	if s.terminal(0, req) {
+		t.Fatal("second disposition accepted")
+	}
+	if s.events.Len() != 1 {
+		t.Fatalf("%d client arrivals pushed, want 1", s.events.Len())
+	}
+	if s.m.AccountingViolations != 1 {
+		t.Fatalf("AccountingViolations = %d, want 1", s.m.AccountingViolations)
+	}
+	err := s.m.Check()
+	if err == nil || !strings.Contains(err.Error(), "1 requests reached two terminal dispositions") {
+		t.Fatalf("Check() = %v, want it to name one violation", err)
+	}
+}
+
 // TestClusterDominance pins the headline robustness claim: the full
 // remediation stack weakly dominates the no-remediation arm on BOTH
 // goodput and accuracy at every non-zero node-fault level, in every

@@ -4,80 +4,39 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Metrics is the per-arm accounting of one cluster campaign cell. Every
-// offered request lands in exactly one terminal disposition — Completed,
-// RateLimited, Unavailable, Shed, or Expired — which the request-ID
-// accounting invariant (Check) pins.
+// offered request lands in exactly one terminal disposition: Completed,
+// RateLimited, Unavailable, Shed, or Expired, which Check pins. Offered
+// counts front-door arrivals (open- plus closed-loop). Completed requests
+// were answered with an accepted reply before their deadline (the router
+// expires a request at its deadline, so late replies are discarded as
+// duplicates); of those, Correct matched the digital reference AND were
+// model-fresh, and Good is the same count from the offered side.
+// Unavailable found no routable replica at admission; Shed ran out of
+// non-stale options mid-flight (stale replies rejected, no retries left);
+// Expired hit their deadline with no accepted reply.
 type Metrics struct {
-	// Offered counts front-door arrivals (open- plus closed-loop).
-	Offered int
-	// Completed requests were answered with an accepted reply before their
-	// deadline (the router expires a request at its deadline, so late
-	// replies are discarded as duplicates); of those, Correct matched the
-	// digital reference AND were model-fresh — Good is the same count from
-	// the offered side. StaleServed were answered from a shard missing
-	// model refreshes (an accepted-but-stale reply — only policies without
-	// VersionCheck do this; graded incorrect).
-	Completed, Correct, Good, StaleServed int
-	// RateLimited were rejected by a tenant token bucket; Unavailable
-	// found no routable replica at admission; Shed ran out of non-stale
-	// options mid-flight (stale replies rejected, no retries left);
-	// Expired hit their deadline with no accepted reply.
-	RateLimited, Unavailable, Shed, Expired int
+	serve.Ledger
+	// StaleServed were answered from a shard missing model refreshes (an
+	// accepted-but-stale reply: only policies without VersionCheck do
+	// this; graded incorrect). RateLimited were rejected by a tenant token
+	// bucket.
+	StaleServed, RateLimited int
 	// Remediation and fleet activity.
 	Retries, Hedges, StaleRejected, Resyncs int
-	Suspects, Quarantines, Readmits         int
-	Crashes, Restarts                       int
+	Quarantines, Readmits, Crashes          int
 	// Message-level accounting: duplicate replies discarded at the router
 	// (the not-double-served half of the invariant) and messages lost to
 	// partition or the lossy fabric.
 	DupReplies, MsgsLost int
-	// AccountingViolations counts double terminal dispositions — always 0
-	// unless the simulator itself is broken.
-	AccountingViolations int
-
-	latencies []float64 // accepted-reply latencies, virtual seconds
 }
 
-// Goodput is the fraction of offered requests answered on time, correctly,
-// and from a fresh model — the headline number.
-func (m *Metrics) Goodput() float64 {
-	if m.Offered == 0 {
-		return 0
-	}
-	return float64(m.Good) / float64(m.Offered)
-}
-
-// Accuracy is the fraction of completed requests answered correctly and
-// fresh. Stale or wrong completions count against it.
-func (m *Metrics) Accuracy() float64 {
-	if m.Completed == 0 {
-		return 0
-	}
-	return float64(m.Correct) / float64(m.Completed)
-}
-
-// LatencyQuantile reports the q-th accepted-reply latency quantile in
-// seconds by nearest rank (0 when nothing completed).
-func (m *Metrics) LatencyQuantile(q float64) float64 {
-	return obs.Quantile(m.latencies, q)
-}
-
-// Check verifies the request-ID accounting invariant: every offered
+// Check verifies the request accounting invariant: every offered
 // request has exactly one terminal disposition and none was double-served.
-func (m *Metrics) Check() error {
-	terminals := m.Completed + m.RateLimited + m.Unavailable + m.Shed + m.Expired
-	if terminals != m.Offered {
-		return fmt.Errorf("cluster: %d offered requests but %d terminal dispositions", m.Offered, terminals)
-	}
-	if m.AccountingViolations != 0 {
-		return fmt.Errorf("cluster: %d requests reached two terminal dispositions", m.AccountingViolations)
-	}
-	return nil
-}
+func (m *Metrics) Check() error { return m.CheckTerminals("cluster", m.RateLimited) }
 
 // CellResult is one (scenario, level, policy) row of the campaign table.
 type CellResult struct {

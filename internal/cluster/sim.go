@@ -61,7 +61,6 @@ type SimConfig struct {
 }
 
 type cReq struct {
-	id       int64
 	idx      int // request-stream index
 	tenant   int
 	shard    int
@@ -132,9 +131,7 @@ type sim struct {
 	partition bool
 	horizon   float64
 
-	ids      int64
 	reqIdx   int
-	disposed map[int64]bool
 	replyLat *obs.LatencyWindow // recent reply latencies for the hedge estimator
 
 	shardServed []int64
@@ -157,7 +154,6 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		verRN:       cfg.RNG.Child("version"),
 		thinkRN:     cfg.RNG.Child("think"),
 		horizon:     cfg.Duration + 0.2,
-		disposed:    map[int64]bool{},
 		replyLat:    obs.NewLatencyWindow(64),
 		shardServed: make([]int64, cfg.Placement.Shards),
 	}
@@ -222,16 +218,13 @@ func (s *sim) msgLost() bool {
 	return s.cfg.Plan.MsgLoss > 0 && s.netRN.Bernoulli(s.cfg.Plan.MsgLoss)
 }
 
-// terminal marks the request's one terminal disposition; callers increment
-// the matching counter iff it returns true. Double terminals are counted,
-// never silently absorbed — the request-ID accounting invariant.
+// terminal marks the request's one terminal disposition through the
+// ledger's guard; callers increment the matching counter iff it returns
+// true. A closed-loop client then thinks and sends its next request.
 func (s *sim) terminal(t float64, req *cReq) bool {
-	if req.done || s.disposed[req.id] {
-		s.m.AccountingViolations++
+	if !s.m.Terminal(&req.done) {
 		return false
 	}
-	req.done = true
-	s.disposed[req.id] = true
 	if req.client >= 0 {
 		think := s.cfg.Traffic.Tenants[req.tenant].ThinkTime
 		u := s.thinkRN.Uniform(0, 1)
@@ -262,9 +255,7 @@ func (s *sim) onClientArrival(t float64, tenant, client int) {
 }
 
 func (s *sim) newRequest(t float64, tenant, client int) *cReq {
-	s.ids++
 	req := &cReq{
-		id:       s.ids,
 		idx:      s.reqIdx,
 		tenant:   tenant,
 		shard:    s.reqIdx % s.cfg.Placement.Shards,
@@ -456,7 +447,7 @@ func (s *sim) onReply(t float64, att *attempt) {
 	}
 	if s.terminal(t, req) {
 		s.m.Completed++
-		s.m.latencies = append(s.m.latencies, t-req.arrive)
+		s.m.AddLatency(t - req.arrive)
 		correct := att.correct && !stale
 		if stale {
 			s.m.StaleServed++
@@ -547,7 +538,6 @@ func (s *sim) onHeartbeat(t float64, nodeID int) {
 	switch {
 	case n.state == dAlive && n.misses >= s.cfg.Detector.SuspectMisses:
 		n.state = dSuspect
-		s.m.Suspects++
 	case n.state == dSuspect && n.misses >= s.cfg.Detector.DownMisses:
 		n.state = dDown
 		s.m.Quarantines++
@@ -592,7 +582,6 @@ func (s *sim) onScenario(t float64, ev faults.NodeEvent) {
 			// stale until a broadcast or a detector resync reaches it.
 			n.up = true
 			n.freeAt = t
-			s.m.Restarts++
 		}
 	case faults.NodeSlowStart:
 		s.nodes[ev.Node].slow++
@@ -652,7 +641,5 @@ func (s *sim) exportObs() {
 	}
 	h := r.Histogram("cluster_sim_latency_seconds",
 		"accepted-reply latency of simulated fleet requests (virtual time, exact quantiles)", 0)
-	for _, l := range s.m.latencies {
-		h.Observe(l)
-	}
+	s.m.ObserveLatencies(h)
 }

@@ -208,8 +208,8 @@ func TestRepairRecoversMVMFidelity(t *testing.T) {
 	if rep.Remapped != 1 {
 		t.Fatalf("expected exactly the damaged column to move, moved %d", rep.Remapped)
 	}
-	if rep.SparesLeft != 1 {
-		t.Fatalf("spares left = %d, want 1", rep.SparesLeft)
+	if len(r.spares) != 1 {
+		t.Fatalf("spares left = %d, want 1", len(r.spares))
 	}
 	errAfter := maxAbsDiff(r.Forward(x), want)
 	if errAfter >= errBefore/4 {
@@ -233,7 +233,7 @@ func TestRepairKeepsColumnWhenSparesAreWorse(t *testing.T) {
 	if rep.Remapped != 0 {
 		t.Fatalf("moved a column onto a worse spare (%d remapped)", rep.Remapped)
 	}
-	if rep.SparesLeft != 1 {
+	if len(r.spares) != 1 {
 		t.Fatal("spare should not be consumed")
 	}
 }

@@ -166,8 +166,6 @@ type RepairReport struct {
 	Remapped int
 	// Pulses spent reprogramming relocated columns.
 	Pulses int
-	// SparesLeft after the pass.
-	SparesLeft int
 }
 
 // Repair runs detection against the logical target and relocates the
@@ -216,6 +214,5 @@ func (r *RemappedArray) Repair(target *tensor.Matrix, cellTol float64, maxPulses
 			rep.Pulses += p
 		}
 	}
-	rep.SparesLeft = len(r.spares)
 	return rep
 }

@@ -20,7 +20,7 @@ type Cache struct {
 
 // CacheStats counts cache events.
 type CacheStats struct {
-	Accesses, Hits, Misses, Evictions int64
+	Accesses, Hits int64
 }
 
 // HitRate returns hits/accesses (0 when idle).
@@ -63,11 +63,8 @@ func (c *Cache) Access(addr uint64) bool {
 			return true
 		}
 	}
-	c.Stats.Misses++
 	if len(ways) < c.Ways {
 		ways = append(ways, 0)
-	} else {
-		c.Stats.Evictions++
 	}
 	copy(ways[1:], ways)
 	ways[0] = tag

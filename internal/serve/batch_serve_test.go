@@ -194,8 +194,8 @@ func TestServiceBatchDropsExpiredFromBlock(t *testing.T) {
 	if c.Expired != 4 {
 		t.Fatalf("Expired = %d, want 4 (plug + 3 stale in queue)", c.Expired)
 	}
-	if c.Served != 2 {
-		t.Fatalf("Served = %d, want 2", c.Served)
+	if c.Completed != 2 {
+		t.Fatalf("Completed = %d, want 2", c.Completed)
 	}
 	if c.Batches != 1 || c.Coalesced != 2 {
 		t.Fatalf("Batches/Coalesced = %d/%d, want 1/2 (one block of the two live members)",
@@ -273,8 +273,8 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 		t.Fatalf("30 virtual seconds of BatchWait took %v wall time", el)
 	}
 	c := svc.Counters()
-	if c.Batches != 1 || c.Coalesced != 2 || c.Served != 2 {
-		t.Fatalf("Batches/Coalesced/Served = %d/%d/%d, want 1/2/2", c.Batches, c.Coalesced, c.Served)
+	if c.Batches != 1 || c.Coalesced != 2 || c.Completed != 2 {
+		t.Fatalf("Batches/Coalesced/Completed = %d/%d/%d, want 1/2/2", c.Batches, c.Coalesced, c.Completed)
 	}
 }
 

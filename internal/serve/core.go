@@ -75,7 +75,8 @@ type driver interface {
 	canary(t float64, rep *Replica)
 	// recal reprograms rep; the fresh divergence reaches onRecalDone.
 	recal(t float64, rep *Replica)
-	// answer hands req its final result. It is called once per request.
+	// answer hands req its final result. The core's terminal-once guard
+	// calls it once per request.
 	answer(t float64, req *request, y tensor.Vector, err error)
 }
 
@@ -329,11 +330,15 @@ func (c *core) onDeadline(t float64, req *request) {
 	c.fail(t, req, ErrDeadline)
 }
 
+// complete ends req with y, once: a second disposition is counted as a
+// violation and never reaches the driver.
 func (c *core) complete(t float64, req *request, y tensor.Vector) {
-	req.done = true
+	if !c.m.Terminal(&req.done) {
+		return
+	}
 	c.m.Completed++
 	if c.keepLatencies {
-		c.m.latencies = append(c.m.latencies, t-req.arrive)
+		c.m.AddLatency(t - req.arrive)
 	}
 	correct := req.want >= 0 && y.ArgMax() == req.want
 	if correct {
@@ -352,8 +357,12 @@ func (c *core) complete(t float64, req *request, y tensor.Vector) {
 	c.d.answer(t, req, y, nil)
 }
 
-// fail ends req with err, counting it as its failed disposition.
+// fail ends req with err, counting it as its failed disposition, once,
+// like complete.
 func (c *core) fail(t float64, req *request, err error) {
+	if !c.m.Terminal(&req.done) {
+		return
+	}
 	var why string
 	switch err {
 	case ErrShed:
@@ -369,7 +378,6 @@ func (c *core) fail(t float64, req *request, err error) {
 		c.m.Closed++
 		why = "closed"
 	}
-	req.done = true
 	req.span.SetErr(why)
 	req.span.End(t)
 	c.d.answer(t, req, nil, err)

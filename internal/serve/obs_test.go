@@ -71,7 +71,8 @@ func TestLatWindowWraparound(t *testing.T) {
 }
 
 func TestMetricsLatencyQuantileNearestRank(t *testing.T) {
-	m := Metrics{latencies: []float64{0.004, 0.001, 0.003, 0.002}}
+	var m Metrics
+	m.latencies = []float64{0.004, 0.001, 0.003, 0.002}
 	if got := m.LatencyQuantile(0.5); got != 0.002 { // ceil(0.5*4)=2nd
 		t.Fatalf("p50 = %v, want 0.002", got)
 	}

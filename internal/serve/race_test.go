@@ -132,7 +132,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 	if c.Recals == 0 {
 		t.Fatalf("watchdog never recalibrated the drifting replica: %+v", c)
 	}
-	if ok.Load()+failed.Load() == 0 || c.Served == 0 {
+	if ok.Load()+failed.Load() == 0 || c.Completed == 0 {
 		t.Fatalf("inconsistent accounting: ok=%d failed=%d counters=%+v",
 			ok.Load(), failed.Load(), c)
 	}
@@ -183,7 +183,7 @@ func TestServiceCloseUnblocksQueued(t *testing.T) {
 // disposition.
 type outcomes struct {
 	mu                                         sync.Mutex
-	served, shed, expired, unavailable, closed int64
+	served, shed, expired, unavailable, closed int
 }
 
 func (o *outcomes) add(err error) {
@@ -212,18 +212,13 @@ func (o *outcomes) check(t *testing.T, svc *Service) {
 	t.Helper()
 	c := svc.Counters()
 	o.mu.Lock()
-	want := ServiceCounters{Served: o.served, Shed: o.shed, Expired: o.expired,
-		Unavailable: o.unavailable, Closed: o.closed}
+	want := [5]int{o.served, o.shed, o.expired, o.unavailable, o.closed}
 	o.mu.Unlock()
-	got := ServiceCounters{Served: c.Served, Shed: c.Shed, Expired: c.Expired,
-		Unavailable: c.Unavailable, Closed: c.Closed}
+	got := [5]int{c.Completed, c.Shed, c.Expired, c.Unavailable, c.Closed}
 	if got != want {
-		t.Fatalf("service counters %+v differ from the callers' tally %+v", got, want)
+		t.Fatalf("service completed/shed/expired/unavailable/closed %v differ from the callers' tally %v", got, want)
 	}
-	svc.mu.Lock()
-	m := svc.core.m
-	svc.mu.Unlock()
-	if err := m.Check(); err != nil {
+	if err := c.Check(); err != nil {
 		t.Fatalf("live accounting does not balance: %v", err)
 	}
 }

@@ -177,8 +177,9 @@ func TestSelfHealDominance(t *testing.T) {
 // before printing: balanced arms pass, and an arm whose dispositions do
 // not add up to its offered load is reported by pipeline/level/policy.
 func TestCheckArmsNamesViolator(t *testing.T) {
-	ok := Metrics{Offered: 5, Completed: 3, Shed: 1, Expired: 1}
-	bad := Metrics{Offered: 5, Completed: 3, Shed: 1}
+	var ok, bad Metrics
+	ok.Offered, ok.Completed, ok.Shed, ok.Expired = 5, 3, 1, 1
+	bad.Offered, bad.Completed, bad.Shed = 5, 3, 1
 	arms := []ArmResult{{Policy: "none", Level: 0.1, M: ok}}
 	if err := CheckArms("mlp", arms); err != nil {
 		t.Fatalf("balanced arms rejected: %v", err)

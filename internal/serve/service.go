@@ -9,24 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// ServiceCounters is a snapshot of the live runtime's accounting. Every Do
-// call ends in exactly one of Served, Shed, Expired, Unavailable or Closed.
-type ServiceCounters struct {
-	Served, Shed, Expired, Unavailable int64
-	Retries, Hedges, Fallbacks, Recals int64
-	// SuspectServed counts requests answered with a verify-failed (suspect)
-	// vector because retries, hedges, or the deadline ran out — served
-	// rather than failed, but flagged so operators can see how much of the
-	// traffic got an unverified answer.
-	SuspectServed int64
-	// Batches counts multi-request coalesced dispatches; Coalesced counts
-	// the requests they carried (so Coalesced/Batches is the realized batch
-	// size). Single-request dispatches appear in neither.
-	Batches, Coalesced int64
-	// Closed counts Do calls answered ErrClosed: refused after Close, or
-	// still unanswered when Close ran.
-	Closed int64
-}
+// ServiceCounters is the live Service's name for its Metrics. It stays
+// only because perfbench names it, in perfbench/serve.go.
+type ServiceCounters = Metrics
 
 // Service is the live goroutine driver of the dispatch core. The core runs
 // under one mutex; Infer, Canary, Recalibrate and the fallback run on
@@ -105,20 +90,13 @@ func (s *Service) SetClock(c obs.Clock) {
 // now is the core time: seconds since service start on the service clock.
 func (s *Service) now() float64 { return s.clock.Now().Sub(s.start).Seconds() }
 
-// Counters snapshots the runtime accounting.
+// Counters snapshots the runtime accounting: a copy of the core's
+// Metrics. Every Do call ends in exactly one of Completed, Shed, Expired,
+// Unavailable or Closed. The live core keeps no latencies.
 func (s *Service) Counters() ServiceCounters {
 	s.mu.Lock()
-	m := s.core.m
-	s.mu.Unlock()
-	return ServiceCounters{
-		Served: int64(m.Completed), Shed: int64(m.Shed),
-		Expired: int64(m.Expired), Unavailable: int64(m.Unavailable),
-		Retries: int64(m.Retries), Hedges: int64(m.Hedges),
-		Fallbacks: int64(m.Fallbacks), Recals: int64(m.Recals),
-		SuspectServed: int64(m.SuspectServed),
-		Batches:       int64(m.Batches), Coalesced: int64(m.Coalesced),
-		Closed: int64(m.Closed),
-	}
+	defer s.mu.Unlock()
+	return s.core.m
 }
 
 // Do submits one inference and blocks for its result (or a shedding,

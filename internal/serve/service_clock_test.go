@@ -177,8 +177,8 @@ func TestAttemptDeadlineSuspectAccounted(t *testing.T) {
 	if c.Hedges != 1 {
 		t.Fatalf("Hedges = %d, want 1", c.Hedges)
 	}
-	if c.Served != 1 {
-		t.Fatalf("Served = %d, want 1", c.Served)
+	if c.Completed != 1 {
+		t.Fatalf("Completed = %d, want 1", c.Completed)
 	}
 }
 
@@ -238,8 +238,8 @@ func TestLateAttemptUpdatesHealth(t *testing.T) {
 	if l := latency(); l != 0.2 {
 		t.Fatalf("Health latency = %v, want the late attempt's 0.2s", l)
 	}
-	if c := svc.Counters(); c.Expired != 1 || c.Served != 0 {
-		t.Fatalf("Expired/Served = %d/%d, want 1/0", c.Expired, c.Served)
+	if c := svc.Counters(); c.Expired != 1 || c.Completed != 0 {
+		t.Fatalf("Expired/Completed = %d/%d, want 1/0", c.Expired, c.Completed)
 	}
 }
 

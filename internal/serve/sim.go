@@ -276,9 +276,7 @@ func (s *sim) exportObs() {
 	}
 	h := r.Histogram("serve_sim_latency_seconds",
 		"completion latency of simulated requests (virtual time, exact quantiles)", 0)
-	for _, l := range m.latencies {
-		h.Observe(l)
-	}
+	m.ObserveLatencies(h)
 	g := r.Gauge("serve_sim_queue_peak", "high-water mark of the simulated admission queue")
 	if float64(s.c.peakQ) > g.Value() {
 		g.Set(float64(s.c.peakQ))
