@@ -53,17 +53,20 @@ check: lint build race ci-sync
 portable:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
-# Short fuzzing legs over the byte-level decoders and the TCAM match
-# kernel: checkpoint payloads, the write-ahead log and the fault engine's
-# exported state must decode or be rejected with an error, never panic, and
-# round-trip exactly; the word-parallel TCAM mismatch count must equal the
-# per-cell rule on arbitrary byte rows.
+# Short fuzzing legs over the byte-level decoders, the TCAM match kernel
+# and the crossbar read memo: checkpoint payloads, the write-ahead log and
+# the fault engine's exported state must decode or be rejected with an
+# error, never panic, and round-trip exactly; the word-parallel TCAM
+# mismatch count must equal the per-cell rule on arbitrary byte rows; and
+# every hook-free read, after any script of array operations, must equal
+# the exact MVM of the current weights.
 FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 5s
 fuzz:
 	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/ckpt
 	$(FUZZ) -fuzz '^FuzzReadWAL$$' ./internal/ckpt
 	$(FUZZ) -fuzz '^FuzzImportState$$' ./internal/faults
 	$(FUZZ) -fuzz '^FuzzMismatches$$' ./internal/cam
+	$(FUZZ) -fuzz '^FuzzReadMemo$$' ./internal/crossbar
 
 # The campaign/checkpoint smoke legs CI runs beyond `check`, plus the
 # per-section experiment selection of repro-all on the fast IDs (one or two

@@ -70,6 +70,15 @@ type OpCounts struct {
 // ownership off explicitly, e.g. with the per-replica mutex of
 // internal/serve.Replica. The guard below turns a violated contract into
 // an immediate panic instead of a silent data race.
+//
+// Read memo: the array keeps its last hook-free single-sample read, and a
+// hook-free Forward whose input repeats it bit for bit returns a copy of
+// the stored output instead of recomputing the MVM (the second read of a
+// serving verify pair). It counts in Counts exactly as a computed read
+// does. The memo is valid only because a read is an exact MVM of the
+// stored weights and draws nothing: every operation that can change a
+// weight drops it (acquire, AdvanceTime, Freeze, FreezeAt), as does
+// SetFaultHook. If read noise ever returns to the periphery, the memo goes.
 type Array struct {
 	rows, cols int
 	cfg        Config
@@ -88,6 +97,39 @@ type Array struct {
 	// the tile streams fresh from (rng seed, update counter, tile), so a
 	// checkpoint-restored array reproduces them exactly.
 	arena updateArena
+	// memo is the last hook-free Forward (see the read memo above). Like
+	// arena it is scratch state outside ArrayState: a restored array starts
+	// with an empty memo and computes its first read.
+	memo readMemo
+}
+
+// readMemo is one stored exact read: y = W·x for the weights at the time
+// it was filled, valid until a weight may have changed.
+type readMemo struct {
+	x, y  tensor.Vector
+	valid bool
+}
+
+// get copies the stored output into y and reports true when x equals the
+// stored input bit for bit (so −0 and +0, or two NaN payloads, differ).
+func (m *readMemo) get(x, y tensor.Vector) bool {
+	if !m.valid {
+		return false
+	}
+	for i, v := range x {
+		if math.Float64bits(v) != math.Float64bits(m.x[i]) {
+			return false
+		}
+	}
+	copy(y, m.y)
+	return true
+}
+
+// put stores the read y = W·x, reusing the memo's buffers.
+func (m *readMemo) put(x, y tensor.Vector) {
+	m.x = append(m.x[:0], x...)
+	m.y = append(m.y[:0], y...)
+	m.valid = true
 }
 
 // updateArena is the reusable scratch space of the update hot path — the
@@ -182,7 +224,14 @@ func (a *Array) linearKernel() bool {
 // enforcement of the single-writer contract (see the Array doc comment).
 // Hook callbacks that reenter the array mid-operation (AdvanceTime, Freeze,
 // FreezeAt) are intentionally unguarded: they run inside an acquired op.
+// Any operation but a read may change a weight, so acquire drops the read
+// memo; reads claim the periphery through acquireRead, which keeps it.
 func (a *Array) acquire() {
+	a.acquireRead()
+	a.memo.valid = false
+}
+
+func (a *Array) acquireRead() {
 	if !a.busy.CompareAndSwap(0, 1) {
 		panic("crossbar: concurrent Array access — the array is single-writer; serialize callers (see internal/serve.Replica)")
 	}
@@ -209,37 +258,54 @@ func (a *Array) OpOrderPinned() bool { return a.hook != nil }
 func (a *Array) Weights() *tensor.Matrix { return a.w.Clone() }
 
 // Forward implements nn.Mat: one analog MVM y = W·x through an ideal
-// periphery. The MVM executes as row tiles across the par worker pool —
-// all tiles of a crossbar compute in parallel in hardware (§II-A), and the
-// software mirrors that — while the hook callbacks stay on the calling
-// goroutine, so results are bit-identical at every worker count.
+// periphery. It allocates the output and runs ForwardInto, so a hook-free
+// read that repeats the last one on unchanged weights returns a fresh copy
+// of the stored output instead of a second MVM (the read memo).
 func (a *Array) Forward(x tensor.Vector) tensor.Vector {
-	a.acquire()
-	defer a.release()
-	return a.forwardLocked(x)
+	y := make(tensor.Vector, a.rows)
+	a.ForwardInto(x, y)
+	return y
 }
 
-// forwardLocked is the Forward body, callable while the periphery is
-// already owned (batched reads issue many of these under one acquire).
-func (a *Array) forwardLocked(x tensor.Vector) tensor.Vector {
+// ForwardInto is Forward writing y = W·x into y, one element per row; y's
+// previous contents are overwritten. The MVM executes as row tiles across
+// the par worker pool — all tiles of a crossbar compute in parallel in
+// hardware (§II-A), and the software mirrors that — while the hook
+// callbacks stay on the calling goroutine, so results are bit-identical at
+// every worker count. Without a fault hook, an input that repeats the last
+// hook-free read bit for bit on unchanged weights is answered from the
+// read memo (see the Array doc comment): the same bits and the same
+// Counts, without the MVM.
+func (a *Array) ForwardInto(x, y tensor.Vector) {
+	a.acquireRead()
+	defer a.release()
+	a.forwardLocked(x, y)
+}
+
+// forwardLocked is the ForwardInto body, callable while the periphery is
+// already owned (a hooked ForwardBatch issues many of these under one
+// acquire).
+func (a *Array) forwardLocked(x, y tensor.Vector) {
 	if len(x) != a.cols {
 		panic(fmt.Sprintf("crossbar: Forward expects %d inputs, got %d", a.cols, len(x)))
 	}
-	if a.hook != nil {
+	if len(y) != a.rows {
+		panic(fmt.Sprintf("crossbar: Forward output length %d, want %d", len(y), a.rows))
+	}
+	if a.hook == nil {
+		if !a.memo.get(x, y) {
+			par.MatVecInto(a.w, x, y)
+			a.memo.put(x, y)
+		}
+	} else {
 		a.hook.BeginOp(a, OpForward)
-	}
-	xin := x
-	if a.hook != nil {
-		xin = append(tensor.Vector(nil), x...)
+		xin := append(tensor.Vector(nil), x...)
 		a.hook.FilterInput(a, OpForward, xin)
-	}
-	y := par.MatVec(a.w, xin)
-	if a.hook != nil {
+		par.MatVecInto(a.w, xin, y)
 		a.hook.FilterOutput(a, OpForward, y)
 	}
 	a.Counts.Forwards++
 	a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
-	return y
 }
 
 // ForwardBatch runs one analog MVM per input under a single periphery
@@ -249,14 +315,16 @@ func (a *Array) forwardLocked(x tensor.Vector) tensor.Vector {
 // (row-tile × sample-block) grid (par.MatVecBatchInto, which amortizes each
 // weight-row load over BatchSpan samples). With a fault hook installed the
 // batch degrades to sequential forwards so the hook observes the same
-// well-formed op stream either way.
+// well-formed op stream either way. A batch neither reads nor fills the
+// read memo: an evaluation batch would copy its whole input set into it.
 func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
-	a.acquire()
+	a.acquireRead()
 	defer a.release()
 	ys := make([]tensor.Vector, len(xs))
 	if a.hook != nil {
 		for s, x := range xs {
-			ys[s] = a.forwardLocked(x)
+			ys[s] = make(tensor.Vector, a.rows)
+			a.forwardLocked(x, ys[s])
 		}
 		return ys
 	}
@@ -726,6 +794,7 @@ func (a *Array) AlternatePulseAll(iters int) {
 // conductance path is frozen, which also preserves the corrupt value of
 // StuckValueStd devices.
 func (a *Array) AdvanceTime(dt float64) {
+	a.memo.valid = false
 	a.cells.drift(dt, a.stuck)
 }
 

@@ -62,8 +62,13 @@ type FaultHook interface {
 	FilterPulses(a *Array, row, col, k int, up bool) int
 }
 
-// SetFaultHook installs (or, with nil, removes) the array's fault hook.
-func (a *Array) SetFaultHook(h FaultHook) { a.hook = h }
+// SetFaultHook installs (or, with nil, removes) the array's fault hook. A
+// hooked array does not use the read memo, and the swap drops it, so no
+// read stored on either side of it can answer a later one.
+func (a *Array) SetFaultHook(h FaultHook) {
+	a.hook = h
+	a.memo.valid = false
+}
 
 // FaultHook returns the installed hook (nil if none).
 func (a *Array) FaultHook() FaultHook { return a.hook }
@@ -91,7 +96,10 @@ func (a *Array) FreezeAt(i, j int, w float64) {
 	a.cells.freezeAt(idx, w)
 }
 
+// markStuck drops the read memo too: these run outside the periphery
+// guard, and FreezeAt changes the weight a read sees.
 func (a *Array) markStuck(idx int) {
+	a.memo.valid = false
 	if !a.stuck[idx] {
 		a.stuck[idx] = true
 		a.stuckCount++

@@ -20,8 +20,9 @@ import (
 // squashing — are assumed non-negative so that the all-ones input computes
 // L1 norms (the hardware uses differential line pairs for signed values).
 type TCPT struct {
-	arr  *crossbar.Array
-	ones tensor.Vector // the L1-norm input; a hooked array filters a private copy
+	arr   *crossbar.Array
+	ones  tensor.Vector // the L1-norm input; a hooked array filters a private copy
+	norms tensor.Vector // L1Norms' output buffer, reused by every query
 }
 
 // NewTCPTWith builds a tile on an explicit device model and array config —
@@ -32,7 +33,7 @@ func NewTCPTWith(rows, cols int, model crossbar.Model, cfg crossbar.Config, rng 
 	cfg.Update = crossbar.UpdateExpected
 	ones := tensor.NewVector(cols)
 	ones.Fill(1)
-	return &TCPT{arr: crossbar.NewArray(rows, cols, model, cfg, rng), ones: ones}
+	return &TCPT{arr: crossbar.NewArray(rows, cols, model, cfg, rng), ones: ones, norms: tensor.NewVector(rows)}
 }
 
 // Array exposes the underlying crossbar so campaign engines can attach
@@ -63,13 +64,18 @@ func checkNonNegative(m *tensor.Matrix) {
 	}
 }
 
-// DotProducts applies the key along the columns and reads the per-row
-// currents: dot(memory_i, key) for every stored vector, in one crossbar op.
-func (t *TCPT) DotProducts(key tensor.Vector) tensor.Vector { return t.arr.Forward(key) }
+// DotProductsInto applies the key along the columns and reads the per-row
+// currents into y: dot(memory_i, key) for every stored vector, in one
+// crossbar op.
+func (t *TCPT) DotProductsInto(key, y tensor.Vector) { t.arr.ForwardInto(key, y) }
 
 // L1Norms applies the all-ones vector along the columns, yielding every
-// row's L1 norm in a second crossbar op (§III-A2).
-func (t *TCPT) L1Norms() tensor.Vector { return t.arr.Forward(t.ones) }
+// row's L1 norm in a second crossbar op (§III-A2). The result is the tile's
+// own buffer, overwritten by the next call.
+func (t *TCPT) L1Norms() tensor.Vector {
+	t.arr.ForwardInto(t.ones, t.norms)
+	return t.norms
+}
 
 // SoftReadInto applies the attention weights along the rows and reads
 // columns into r: r = wᵀM in a single crossbar op (§III-A3).
@@ -170,16 +176,17 @@ func (d *DistributedMemory) runTiles(fn func(ti int)) {
 // Similarity computes the attention distribution over all memory rows with
 // the X-MANN similarity measure: softmax(β · dot_i / (‖m_i‖₁ + ε)),
 // using two crossbar ops per tile plus the SFU math. Tiles run in parallel,
-// each writing its rows' scores into its own slice of one vector.
+// each reading its rows' dot products straight into its own slice of one
+// vector and dividing them there by the norms in its own buffer.
 func (d *DistributedMemory) Similarity(key tensor.Vector, beta float64) tensor.Vector {
 	scores := make(tensor.Vector, d.M)
 	d.runTiles(func(ti int) {
 		t := d.Tiles[ti]
-		dots := t.DotProducts(key)
-		norms := t.L1Norms()
-		s := scores[ti*d.TileRows:]
-		for i := range dots {
-			s[i] = dots[i] / (norms[i] + 1e-9)
+		start := ti * d.TileRows
+		s := scores[start : start+t.arr.Rows()]
+		t.DotProductsInto(key, s)
+		for i, n := range t.L1Norms() {
+			s[i] /= n + 1e-9
 		}
 	})
 	return tensor.SoftmaxT(scores, beta)

@@ -25,7 +25,8 @@ func TestTCPTDotProducts(t *testing.T) {
 	tile := newTCPT(8, 6, rngutil.New(2))
 	tile.Program(mem)
 	key := tensor.Vector{0.3, -0.2, 0.5, 0.1, -0.4, 0.2}
-	dots := tile.DotProducts(key)
+	dots := make(tensor.Vector, 8)
+	tile.DotProductsInto(key, dots)
 	w := tile.Array().Weights()
 	for i := 0; i < 8; i++ {
 		want := tensor.Dot(w.Row(i), key)
