@@ -3,10 +3,10 @@ GO ?= go
 .PHONY: all build fmt vet lint test race check ci-sync deadcode portable fuzz \
 	smoke cluster-smoke determinism golden obs-smoke bench-quick \
 	bench-selftest bench-layout bench-baseline campaign serve-campaign \
-	train-campaign cluster-campaign
+	train-campaign cluster-campaign full
 
-# The full CI gate: every ci.yml job body is a target here, so `make all`
-# locally reproduces exactly what CI enforces.
+# The CI gate: every ci.yml job body is a target here, and `make all` runs
+# all of them but the slow `full` and the manual `bench-baseline`.
 all: check deadcode portable fuzz smoke cluster-smoke determinism golden \
 	obs-smoke bench-quick bench-selftest
 
@@ -35,11 +35,13 @@ race:
 ci-sync:
 	$(GO) run ./cmd/ci-sync
 
-# deadcode fails on any function under internal/ that no main package
-# (cmd/, examples/, perfbench) reaches, and on any exported bool, string,
-# integer or float field of an internal/ struct that no non-test file
-# assigns, unless testdata/deadcode.allow keeps it as a test oracle, test
-# seam or shared test helper; stale allowlist entries fail too.
+# deadcode fails on any function under internal/ that no checked binary
+# reaches, and on any exported bool, string, integer or float field of an
+# internal/ struct that no non-test file assigns, unless
+# testdata/deadcode.allow keeps it as a test oracle, test seam or shared
+# test helper; stale allowlist entries fail too. The checked binaries are
+# perfbench and every main package a `$(GO) run` command of this Makefile
+# runs; a main package no target runs fails the check itself.
 deadcode:
 	$(GO) run ./cmd/deadcode
 
@@ -123,8 +125,8 @@ determinism:
 	cmp $(DETERMINISM_OUT)/bench.w1.txt $(DETERMINISM_OUT)/bench.w4.txt
 
 # Golden outputs: the quick campaign outputs (R1 fault, R2 serve, R3 train,
-# R6 cluster), every quick experiment of repro-all, the kernel checksums, and
-# the campaigns' stable metric and trace dumps must stay
+# R6 cluster), every quick experiment of repro-all, the kernel checksums, the
+# three examples, and the campaigns' stable metric and trace dumps must stay
 # byte-identical to the committed files under testdata/golden, so a change
 # that claims to keep behaviour the same is checked, not only claimed. A
 # change that moves them on purpose regenerates the files with
@@ -134,7 +136,8 @@ GOLDEN_OUT ?= /tmp/golden
 GOLDEN_FILES = bench-report.txt train-campaign.txt serve-campaign.txt \
 	serve-campaign.metrics serve-campaign.traces repro-all.txt \
 	fault-campaign.txt fault-campaign.metrics \
-	cluster-campaign.txt cluster-campaign.metrics
+	cluster-campaign.txt cluster-campaign.metrics \
+	quickstart.txt analog_training.txt recsys_profile.txt
 golden:
 	mkdir -p $(GOLDEN_OUT)
 	$(GO) run ./cmd/bench-report -quick > $(GOLDEN_OUT)/bench-report.txt
@@ -147,7 +150,20 @@ golden:
 		-metrics-out $(GOLDEN_OUT)/fault-campaign.metrics > $(GOLDEN_OUT)/fault-campaign.txt
 	$(GO) run ./cmd/cluster-campaign -quick \
 		-metrics-out $(GOLDEN_OUT)/cluster-campaign.metrics > $(GOLDEN_OUT)/cluster-campaign.txt
+	$(GO) run ./examples/quickstart > $(GOLDEN_OUT)/quickstart.txt
+	$(GO) run ./examples/analog_training > $(GOLDEN_OUT)/analog_training.txt
+	$(GO) run ./examples/recsys_profile > $(GOLDEN_OUT)/recsys_profile.txt
 	for f in $(GOLDEN_FILES); do cmp $(GOLDEN)/$$f $(GOLDEN_OUT)/$$f || exit 1; done
+
+# The full-size experiment tables (every repro-all experiment at seed 1234,
+# about a minute) must stay byte-identical to the committed results_full.txt.
+# Not part of `all`: it has a CI job of its own. A change that moves them on
+# purpose regenerates the file with `go run ./cmd/repro-all -seed 1234` and
+# says why in CHANGES.md.
+full:
+	mkdir -p $(GOLDEN_OUT)
+	$(GO) run ./cmd/repro-all -seed 1234 > $(GOLDEN_OUT)/results_full.txt
+	cmp results_full.txt $(GOLDEN_OUT)/results_full.txt
 
 # Observability smoke: boot the campaign with the HTTP endpoint up and probe
 # /metrics, /traces and /debug/pprof/profile in-process; diff the stable

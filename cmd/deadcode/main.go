@@ -1,15 +1,20 @@
 // Command deadcode fails when a function declared under internal/ is
-// reached by no main package of the repository, or when a setting field
-// declared there is assigned by no non-test file, unless a committed
-// allowlist says why it stays.
+// reached by no binary that a gate runs, or when a setting field declared
+// there is assigned by no non-test file, unless a committed allowlist says
+// why it stays.
 //
-// The method: every main package (the root module's and the benchmark's)
-// is built with inlining off (-gcflags=all=-l), so each called function
-// keeps its own symbol, and `go tool nm` lists what the linker retained.
-// The union of those symbols is diffed against the go/ast function
-// declarations of the non-test internal/ files. The linker keeps methods
-// that might satisfy an interface, so the check errs towards calling code
-// live: it never flags a function a binary runs.
+// The roots are the benchmark's main package (perfbench) and every main
+// package of the root module that a `$(GO) run ./…` command of the
+// Makefile runs. A root-module main package that no such command runs is a
+// finding of its own: a binary no target runs checks nothing, so it may not
+// keep code alive.
+//
+// The method: every root is built with inlining off (-gcflags=all=-l), so
+// each called function keeps its own symbol, and `go tool nm` lists what
+// the linker retained. The union of those symbols is diffed against the
+// go/ast function declarations of the non-test internal/ files. The linker
+// keeps methods that might satisfy an interface, so the check errs towards
+// calling code live: it never flags a function a root runs.
 //
 // The checked fields are the exported bool, string, integer and float
 // fields of the structs of non-test internal/ files. A non-test file of
@@ -44,6 +49,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -324,32 +330,83 @@ func goCmd(dir string, args ...string) (string, error) {
 	return string(out), nil
 }
 
-// reachable builds every main package of the modules rooted at dirs and
-// returns the union of their internal/ symbols.
-func reachable(tmp string, dirs ...string) (map[string]bool, int, error) {
-	reach := map[string]bool{}
-	n := 0
-	for _, dir := range dirs {
-		out, err := goCmd(dir, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...")
-		if err != nil {
-			return nil, 0, err
+var (
+	// goRun matches one `$(GO) run` command of a Makefile line and
+	// captures the package it runs.
+	goRun = regexp.MustCompile(`\$\(GO\) run\s+(\S+)`)
+	// continued matches a backslash line continuation.
+	continued = regexp.MustCompile(`\\\n\s*`)
+)
+
+// runRoots returns the packages the `$(GO) run` commands of a Makefile run,
+// as slash paths relative to the repository root ("cmd/repro-all"). A line
+// continued with a trailing backslash is read as one; comments and other
+// go commands (build, test, vet) start no root.
+func runRoots(makefile string) map[string]bool {
+	runs := map[string]bool{}
+	for _, line := range strings.Split(continued.ReplaceAllString(makefile, " "), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
 		}
-		for _, pkg := range strings.Fields(out) {
-			bin := filepath.Join(tmp, fmt.Sprintf("main%d", n))
-			n++
-			if _, err := goCmd(dir, "build", "-gcflags=all=-l", "-o", bin, pkg); err != nil {
-				return nil, 0, err
-			}
-			syms, err := goCmd(dir, "tool", "nm", bin)
-			if err != nil {
-				return nil, 0, err
-			}
-			nmSymbols(syms, reach)
-			// Keep one binary on disk at a time; run removes tmp at exit.
-			_ = os.Remove(bin)
+		for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+			runs[path.Clean(m[1])] = true
 		}
 	}
-	return reach, n, nil
+	return runs
+}
+
+// runMains splits the root module's main packages (paths relative to the
+// module root) into the roots a Makefile command runs and one finding for
+// each other one.
+func runMains(mains []string, runs map[string]bool) (roots, bad []string) {
+	for _, m := range mains {
+		if runs[m] {
+			roots = append(roots, m)
+		} else {
+			bad = append(bad, fmt.Sprintf("%s: main package that no Makefile `$(GO) run` command runs", m))
+		}
+	}
+	return roots, bad
+}
+
+// mainPackages lists the main packages of the module rooted at dir as
+// paths relative to it ("cmd/repro-all", "." for the module root).
+func mainPackages(dir string) ([]string, error) {
+	out, err := goCmd(dir, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}} {{.Module.Path}}{{end}}`, "./...")
+	if err != nil {
+		return nil, err
+	}
+	var mains []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if pkg, mod, ok := strings.Cut(line, " "); ok {
+			rel := "."
+			if pkg != mod {
+				rel = strings.TrimPrefix(pkg, mod+"/")
+			}
+			mains = append(mains, rel)
+		}
+	}
+	sort.Strings(mains)
+	return mains, nil
+}
+
+// reachable builds the main packages pkgs (paths relative to dir) of the
+// module rooted at dir and adds their internal/ symbols to reach.
+func reachable(tmp, dir string, pkgs []string, reach map[string]bool) error {
+	for _, pkg := range pkgs {
+		bin := filepath.Join(tmp, "main")
+		if _, err := goCmd(dir, "build", "-gcflags=all=-l", "-o", bin, "./"+pkg); err != nil {
+			return err
+		}
+		syms, err := goCmd(dir, "tool", "nm", bin)
+		if err != nil {
+			return err
+		}
+		nmSymbols(syms, reach)
+		// Keep one binary on disk at a time; run removes tmp at exit.
+		_ = os.Remove(bin)
+	}
+	return nil
 }
 
 // declarations parses the non-test Go files that the current build
@@ -378,11 +435,11 @@ func declarations(dirs ...string) (decls []decl, assigned map[string]bool, err e
 				return nil, nil, err
 			}
 			for _, name := range p.GoFiles {
-				path, err := filepath.Rel(root, filepath.Join(p.Dir, name))
+				rel, err := filepath.Rel(root, filepath.Join(p.Dir, name))
 				if err != nil {
 					return nil, nil, err
 				}
-				f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+				f, err := parser.ParseFile(fset, rel, nil, parser.SkipObjectResolution)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -404,13 +461,30 @@ func run() ([]string, string, error) {
 		return nil, "", err
 	}
 	allow, bad := parseAllow(string(text))
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		return nil, "", err
+	}
+	mains, err := mainPackages(".")
+	if err != nil {
+		return nil, "", err
+	}
+	roots, unrun := runMains(mains, runRoots(string(makefile)))
+	bad = append(bad, unrun...)
+	bench, err := mainPackages("perfbench")
+	if err != nil {
+		return nil, "", err
+	}
 	tmp, err := os.MkdirTemp("", "deadcode")
 	if err != nil {
 		return nil, "", err
 	}
 	defer os.RemoveAll(tmp)
-	reach, mains, err := reachable(tmp, ".", "perfbench")
-	if err != nil {
+	reach := map[string]bool{}
+	if err := reachable(tmp, ".", roots, reach); err != nil {
+		return nil, "", err
+	}
+	if err := reachable(tmp, "perfbench", bench, reach); err != nil {
 		return nil, "", err
 	}
 	decls, assigned, err := declarations(".", "perfbench")
@@ -418,8 +492,8 @@ func run() ([]string, string, error) {
 		return nil, "", err
 	}
 	bad = append(bad, check(decls, reach, assigned, allow)...)
-	return bad, fmt.Sprintf("%d mains reach, and non-test files assign, all %d internal/ functions and checked fields but the %d allowlisted",
-		mains, len(decls), len(allow)), nil
+	return bad, fmt.Sprintf("%d Makefile-run and benchmark mains reach, and non-test files assign, all %d internal/ functions and checked fields but the %d allowlisted",
+		len(roots)+len(bench), len(decls), len(allow)), nil
 }
 
 func main() {

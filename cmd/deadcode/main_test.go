@@ -240,3 +240,42 @@ func TestStripTypeArgs(t *testing.T) {
 		}
 	}
 }
+
+// makefileFixture runs four packages: one with flags continued onto a
+// second line, one from a variable continued before its package, and two
+// on one line. The comment and the build, test and vet lines start none.
+const makefileFixture = `# $(GO) run ./examples/commented
+BENCH = $(GO) run \
+	./cmd/bench-report -benchtime 0.3s
+smoke:
+	$(GO) run ./cmd/serve-campaign -quick -workers 1 \
+		-metrics-out out/serve.metrics > out/serve.txt
+	$(GO) run ./cmd/a -seed 7 && $(GO) run ./examples/b/ > b.txt
+	$(GO) build ./cmd/built
+	$(GO) test ./cmd/tested
+	$(GO) vet ./...
+	cd perfbench && $(GO) build -o out/perfbench .
+`
+
+func TestRunRoots(t *testing.T) {
+	var got []string
+	for r := range runRoots(makefileFixture) {
+		got = append(got, r)
+	}
+	sort.Strings(got)
+	want := []string{"cmd/a", "cmd/bench-report", "cmd/serve-campaign", "examples/b"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run roots %v, want %v", got, want)
+	}
+}
+
+func TestUnrunMainIsAFinding(t *testing.T) {
+	mains := []string{"cmd/a", "cmd/built", "examples/b", "examples/demo"}
+	roots, bad := runMains(mains, runRoots(makefileFixture))
+	if want := []string{"cmd/a", "examples/b"}; !reflect.DeepEqual(roots, want) {
+		t.Errorf("roots %v, want %v", roots, want)
+	}
+	if len(bad) != 2 || !strings.HasPrefix(bad[0], "cmd/built: ") || !strings.HasPrefix(bad[1], "examples/demo: ") {
+		t.Errorf("findings %q, want one each for cmd/built and examples/demo", bad)
+	}
+}

@@ -153,7 +153,7 @@ func TestModeString(t *testing.T) {
 func TestDropConnectMasksDuringTraining(t *testing.T) {
 	rng := rngutil.New(11)
 	inner := nn.NewDenseMat(4, 4)
-	inner.M.Fill(1)
+	tensor.Vector(inner.M.Data).Fill(1)
 	dc := NewDropConnect(inner, 0.5, rng)
 	x := tensor.Vector{1, 1, 1, 1}
 	// Training mode: outputs vary as masks are resampled.

@@ -490,7 +490,7 @@ func TestStuckAtRandomValue(t *testing.T) {
 	before := a.Weights()
 	a.PulseAll(100, true)
 	tgt := tensor.NewMatrix(8, 8)
-	tgt.Fill(0.9)
+	tensor.Vector(tgt.Data).Fill(0.9)
 	a.Program(tgt, 1000)
 	after := a.Weights()
 	for i := range before.Data {

@@ -165,23 +165,6 @@ func TestEpisodePanicsWhenTooManyWays(t *testing.T) {
 	u.SampleEpisode(5, 1, 1)
 }
 
-func TestCopyTask(t *testing.T) {
-	seq := CopyTask(6, 8, rngutil.New(13))
-	if len(seq) != 6 {
-		t.Fatalf("len = %d", len(seq))
-	}
-	for _, v := range seq {
-		if len(v) != 8 {
-			t.Fatal("width wrong")
-		}
-		for _, b := range v {
-			if b != 0 && b != 1 {
-				t.Fatalf("non-binary element %v", b)
-			}
-		}
-	}
-}
-
 func TestClickLogShapes(t *testing.T) {
 	cfg := DefaultClickLog()
 	log := NewClickLog(cfg, 100, rngutil.New(17))
@@ -240,47 +223,5 @@ func TestClickLogCTRReasonable(t *testing.T) {
 	ctr := log.CTR()
 	if ctr < 0.2 || ctr > 0.8 {
 		t.Fatalf("CTR = %v, labels degenerate", ctr)
-	}
-}
-
-func TestGlyphUniverse(t *testing.T) {
-	u := NewGlyphUniverse(DefaultGlyphs(), rngutil.New(23))
-	if len(u.Templates) != 30 {
-		t.Fatalf("templates = %d", len(u.Templates))
-	}
-	// Templates must have some ink.
-	for c, tpl := range u.Templates {
-		ink := 0.0
-		for _, v := range tpl.Data {
-			ink += v
-		}
-		if ink < 3 {
-			t.Fatalf("template %d nearly empty (ink=%v)", c, ink)
-		}
-	}
-	im := u.Sample(0)
-	if im.H != 16 || im.W != 16 {
-		t.Fatal("sample shape wrong")
-	}
-	for _, v := range im.Data {
-		if v < 0 || v > 1 {
-			t.Fatalf("pixel %v out of [0,1]", v)
-		}
-	}
-}
-
-func TestGlyphSamplesVary(t *testing.T) {
-	u := NewGlyphUniverse(DefaultGlyphs(), rngutil.New(27))
-	a := u.Sample(3)
-	b := u.Sample(3)
-	same := true
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("two samples of same class should differ (jitter)")
 	}
 }

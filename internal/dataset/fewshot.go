@@ -93,19 +93,3 @@ func (u *FewShotUniverse) SampleEpisode(nWay, kShot, nQuery int) *Episode {
 	}
 	return ep
 }
-
-// CopyTask generates a batch of sequences for the NTM copy task: seqLen
-// random bit-vectors of width bits, to be reproduced after an end marker.
-func CopyTask(seqLen, bits int, rng *rngutil.Source) []tensor.Vector {
-	seq := make([]tensor.Vector, seqLen)
-	for t := range seq {
-		v := make(tensor.Vector, bits)
-		for i := range v {
-			if rng.Bernoulli(0.5) {
-				v[i] = 1
-			}
-		}
-		seq[t] = v
-	}
-	return seq
-}

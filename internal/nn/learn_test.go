@@ -67,45 +67,3 @@ func TestTrainStepSkipsOnlyTheBottomBackward(t *testing.T) {
 		}
 	}
 }
-
-// TestConvNetBackwardMatchesFullBottom checks that dropping the bottom
-// conv layer's input gradient leaves every parameter update bit-identical
-// to running that layer's full Backward.
-func TestConvNetBackwardMatchesFullBottom(t *testing.T) {
-	build := func() *ConvNet { return NewConvNet(1, 12, 12, []int{3, 4}, 5, rngutil.New(9)) }
-	ref, got := build(), build()
-	data := rngutil.New(4)
-	for step := 0; step < 5; step++ {
-		im := NewImage(1, 12, 12)
-		for i := range im.Data {
-			im.Data[i] = data.Uniform(-1, 1)
-		}
-		dy := tensor.NewVector(5)
-		for i := range dy {
-			dy[i] = data.Uniform(-1, 1)
-		}
-		ref.Embed(im)
-		got.Embed(im)
-		// Reference: the full stack, the bottom conv's dL/din included.
-		dflat := ref.Proj.Backward(dy, 0.05)
-		d := NewImage(ref.flatShape.C, ref.flatShape.H, ref.flatShape.W)
-		copy(d.Data, dflat)
-		for i := len(ref.Convs) - 1; i >= 0; i-- {
-			d = ref.Convs[i].Backward(ref.Pools[i].Backward(d), 0.05)
-		}
-		got.Backward(dy, 0.05)
-	}
-	for i := range ref.Convs {
-		for o := range ref.Convs[i].Kernels {
-			if !reflect.DeepEqual(ref.Convs[i].Kernels[o].Data, got.Convs[i].Kernels[o].Data) {
-				t.Fatalf("conv %d kernel %d differs from the full-backward reference", i, o)
-			}
-		}
-		if !reflect.DeepEqual(ref.Convs[i].Bias, got.Convs[i].Bias) {
-			t.Fatalf("conv %d bias differs from the full-backward reference", i)
-		}
-	}
-	if !reflect.DeepEqual(ref.Proj.W.(*DenseMat).M.Data, got.Proj.W.(*DenseMat).M.Data) {
-		t.Fatal("projection differs from the full-backward reference")
-	}
-}

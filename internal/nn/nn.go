@@ -1,6 +1,5 @@
 // Package nn is the digital neural-network substrate: fully connected
-// networks with backpropagation, an LSTM cell with BPTT, small 2-D
-// convolution/pooling layers, and the loss functions used across the
+// networks with backpropagation and the loss functions used across the
 // repository.
 //
 // The package defines the Mat interface — the contract between a network and

@@ -1,8 +1,8 @@
 package tensor
 
-// Small integer helpers shared across packages (sizing tile grids, clamping
-// pixel coordinates, bounding retry budgets). They live here because tensor
-// is the one package everything else already imports.
+// Small integer helpers shared across packages (sizing tile grids, bounding
+// retry budgets). They live here because tensor is the one package
+// everything else already imports.
 
 // MinInt returns the smaller of a and b.
 func MinInt(a, b int) int {
@@ -18,15 +18,4 @@ func MaxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ClampInt limits v to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

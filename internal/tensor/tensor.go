@@ -256,13 +256,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Fill sets every element of m to x.
-func (m *Matrix) Fill(x float64) {
-	for i := range m.Data {
-		m.Data[i] = x
-	}
-}
-
 // Transpose returns a newly allocated transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -339,13 +332,4 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return best
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

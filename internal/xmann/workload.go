@@ -1,9 +1,6 @@
 package xmann
 
-import (
-	"repro/internal/mann"
-	"repro/internal/perfmodel"
-)
+import "repro/internal/perfmodel"
 
 // Workload describes one MANN benchmark at the granularity the accelerator
 // and GPU models price: differentiable-memory geometry, per-step op mix,
@@ -133,30 +130,4 @@ func Compare(suite []Workload, p Params, g perfmodel.GPU) []Comparison {
 		})
 	}
 	return out
-}
-
-// WorkloadFromTrace converts measured differentiable-memory operation
-// counts (from a functional run against mann.NTMMemory or the TCPT layer)
-// into a priceable Workload, tying the functional and performance layers
-// together: what gets priced is exactly what was executed.
-func WorkloadFromTrace(name string, memRows, memDim, steps int, ops mann.MemOps, ctrlMACs float64) Workload {
-	if steps <= 0 {
-		steps = 1
-	}
-	perStep := func(total int64) int {
-		n := int(total) / steps
-		if n < 1 && total > 0 {
-			n = 1
-		}
-		return n
-	}
-	return Workload{
-		Name:    name,
-		MemRows: memRows, MemDim: memDim,
-		Steps:         steps,
-		SimsPerStep:   perStep(ops.Similarities),
-		ReadsPerStep:  perStep(ops.SoftReads),
-		WritesPerStep: perStep(ops.SoftWrites),
-		CtrlMACs:      ctrlMACs,
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/crossbar"
-	"repro/internal/mann"
 	"repro/internal/perfmodel"
 	"repro/internal/rngutil"
 	"repro/internal/tensor"
@@ -231,31 +230,6 @@ func TestMoreParallelTilesFaster(t *testing.T) {
 	}
 	if math.Abs(fast.Energy-slow.Energy)/slow.Energy > 1e-9 {
 		t.Fatal("tile parallelism must not change energy")
-	}
-}
-
-func TestWorkloadFromTrace(t *testing.T) {
-	// Drive a functional DNC memory and price exactly what it executed.
-	d := mann.NewDNCMemory(64, 32)
-	ones := tensor.NewVector(32)
-	ones.Fill(1)
-	const steps = 32
-	for i := 0; i < steps; i++ {
-		ww := d.Write(tensor.NewVector(32), 1, 1, 1, ones, tensor.NewVector(32))
-		d.Read(ww)
-	}
-	w := WorkloadFromTrace("dnc-traced", 64, 32, steps, d.Ops, 1000)
-	if w.ReadsPerStep < 1 || w.WritesPerStep < 1 {
-		t.Fatalf("trace-derived workload lost ops: %+v", w)
-	}
-	cost := New(DefaultParams()).InferenceCost(w)
-	if cost.Latency <= 0 || cost.Energy <= 0 {
-		t.Fatal("trace-derived workload must be priceable")
-	}
-	// Zero/empty traces degrade gracefully.
-	w0 := WorkloadFromTrace("empty", 8, 8, 0, mann.MemOps{}, 0)
-	if w0.Steps != 1 || w0.SimsPerStep != 0 {
-		t.Fatalf("empty trace workload wrong: %+v", w0)
 	}
 }
 
