@@ -71,14 +71,17 @@ type OpCounts struct {
 // internal/serve.Replica. The guard below turns a violated contract into
 // an immediate panic instead of a silent data race.
 //
-// Read memo: the array keeps its last hook-free single-sample read, and a
-// hook-free Forward whose input repeats it bit for bit returns a copy of
-// the stored output instead of recomputing the MVM (the second read of a
-// serving verify pair). It counts in Counts exactly as a computed read
-// does. The memo is valid only because a read is an exact MVM of the
+// Read memo: the array keeps its last two hook-free single-sample reads,
+// and a hook-free Forward whose input repeats one of them bit for bit
+// returns a copy of the stored output instead of recomputing the MVM (the
+// second read of a serving verify pair; an X-MANN tile's all-ones norm
+// read between two keys). A hit counts in Counts exactly as a computed
+// read does. The memo is valid only because a read is an exact MVM of the
 // stored weights and draws nothing: every operation that can change a
-// weight drops it (acquire, AdvanceTime, Freeze, FreezeAt), as does
-// SetFaultHook. If read noise ever returns to the periphery, the memo goes.
+// weight drops it (acquire, AdvanceTime, Freeze, FreezeAt), as do
+// SetFaultHook and an update that issued a pulse or ran under a hook.
+// Reads (Forward, Backward, SkipBackward) and pulse-free updates keep it.
+// If read noise ever returns to the periphery, the memo goes.
 type Array struct {
 	rows, cols int
 	cfg        Config
@@ -97,39 +100,62 @@ type Array struct {
 	// the tile streams fresh from (rng seed, update counter, tile), so a
 	// checkpoint-restored array reproduces them exactly.
 	arena updateArena
-	// memo is the last hook-free Forward (see the read memo above). Like
-	// arena it is scratch state outside ArrayState: a restored array starts
-	// with an empty memo and computes its first read.
+	// memo holds the last two hook-free Forwards (see the read memo above).
+	// Like arena it is scratch state outside ArrayState: a restored array
+	// starts with an empty memo and computes its first reads.
 	memo readMemo
 }
 
-// readMemo is one stored exact read: y = W·x for the weights at the time
-// it was filled, valid until a weight may have changed.
+// readMemo holds two exact reads, each y = W·x for the weights at the time
+// it was stored, valid until a weight may have changed. A miss replaces
+// the entry used least recently, so two inputs read in alternation both
+// stay answered.
 type readMemo struct {
+	e    [2]memoEntry
+	last int // the entry that answered or was stored most recently
+}
+
+type memoEntry struct {
 	x, y  tensor.Vector
 	valid bool
 }
 
-// get copies the stored output into y and reports true when x equals the
-// stored input bit for bit (so −0 and +0, or two NaN payloads, differ).
+// get copies a stored output into y and reports true when x equals that
+// entry's input bit for bit (so −0 and +0, or two NaN payloads, differ).
 func (m *readMemo) get(x, y tensor.Vector) bool {
-	if !m.valid {
-		return false
+	for k := range m.e {
+		if e := &m.e[k]; e.valid && sameBits(x, e.x) {
+			copy(y, e.y)
+			m.last = k
+			return true
+		}
 	}
+	return false
+}
+
+func sameBits(x, s tensor.Vector) bool {
 	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(m.x[i]) {
+		if math.Float64bits(v) != math.Float64bits(s[i]) {
 			return false
 		}
 	}
-	copy(y, m.y)
 	return true
 }
 
-// put stores the read y = W·x, reusing the memo's buffers.
+// put stores the read y = W·x in the least recently used entry, reusing
+// its buffers.
 func (m *readMemo) put(x, y tensor.Vector) {
-	m.x = append(m.x[:0], x...)
-	m.y = append(m.y[:0], y...)
-	m.valid = true
+	m.last = 1 - m.last
+	e := &m.e[m.last]
+	e.x = append(e.x[:0], x...)
+	e.y = append(e.y[:0], y...)
+	e.valid = true
+}
+
+// drop forgets both stored reads.
+func (m *readMemo) drop() {
+	m.e[0].valid = false
+	m.e[1].valid = false
 }
 
 // updateArena is the reusable scratch space of the update hot path — the
@@ -153,6 +179,20 @@ type updateArena struct {
 	// rows×cols popcount probes.
 	colSlotOff []int32
 	colSlotBuf []int32
+	// tileFn is the running pass's tile kernel, and runTile the par.Run
+	// body that calls it for one tile and records the tile's pulse count.
+	tileFn  func(t, lo, hi int) int64
+	runTile func(t int)
+	// runs is the pulse plan of the noiseless-linear expected-mode kernel,
+	// cols entries per row tile: each tile plans one driven row at a time
+	// in its own slice, so tiles on different workers never share one.
+	runs []pulseRun
+	// expectedLinearTile is the bound tile kernel of that mode, and
+	// scale, u, v the running update's operands it reads (u and v are
+	// cleared when the pass ends), so its updates allocate nothing.
+	expectedLinearTile func(t, lo, hi int) int64
+	scale              float64
+	u, v               tensor.Vector
 }
 
 // ensureArena sizes the update scratch buffers on first use.
@@ -165,11 +205,22 @@ func (a *Array) ensureArena() {
 	a.arena.colTrains = make([]uint64, a.cols)
 	a.arena.pulses = make([]int64, tiles)
 	a.arena.tileSrc = make([]*rngutil.Source, tiles)
-	if a.linearKernel() {
+	a.arena.runTile = func(t int) {
+		lo, hi := par.Bounds(t, a.rows)
+		a.arena.pulses[t] = a.arena.tileFn(t, lo, hi)
+	}
+	if !a.linearKernel() {
+		return
+	}
+	switch a.cfg.Update {
+	case UpdateStochastic:
 		a.arena.colMulUp = make([]float64, a.cols)
 		a.arena.colMulDown = make([]float64, a.cols)
 		a.arena.colSlotOff = make([]int32, BL+1)
 		a.arena.colSlotBuf = make([]int32, BL*a.cols)
+	case UpdateExpected:
+		a.arena.runs = make([]pulseRun, tiles*a.cols)
+		a.arena.expectedLinearTile = a.expectedLinearTile
 	}
 }
 
@@ -225,10 +276,11 @@ func (a *Array) linearKernel() bool {
 // Hook callbacks that reenter the array mid-operation (AdvanceTime, Freeze,
 // FreezeAt) are intentionally unguarded: they run inside an acquired op.
 // Any operation but a read may change a weight, so acquire drops the read
-// memo; reads claim the periphery through acquireRead, which keeps it.
+// memo; reads and updates claim the periphery through acquireRead, which
+// keeps it (an update drops it itself if it pulsed).
 func (a *Array) acquire() {
 	a.acquireRead()
-	a.memo.valid = false
+	a.memo.drop()
 }
 
 func (a *Array) acquireRead() {
@@ -352,7 +404,7 @@ func (a *Array) Backward(d tensor.Vector) tensor.Vector {
 // BackwardInto is Backward writing yᵀ = Wᵀ·d into y, one element per
 // column; y's previous contents are overwritten.
 func (a *Array) BackwardInto(d, y tensor.Vector) {
-	a.acquire()
+	a.acquireRead()
 	defer a.release()
 	a.checkBackward(d)
 	if len(y) != a.cols {
@@ -386,7 +438,7 @@ func (a *Array) SkipBackward(d tensor.Vector) {
 		a.Backward(d)
 		return
 	}
-	a.acquire()
+	a.acquireRead()
 	defer a.release()
 	a.checkBackward(d)
 	a.countBackward()
@@ -410,18 +462,23 @@ func (a *Array) Update(scale float64, u, v tensor.Vector) {
 }
 
 // UpdateReference is Update forced onto the generic per-crosspoint path
-// (one cells.pulse call per coincidence) even when the array's device model
-// takes the noiseless-linear kernel. It advances the same op
+// (one cells.pulse call per device pulse train) in both update modes, even
+// when the array's device model takes a noiseless-linear kernel
+// (updateStochasticLinear, updateExpectedLinear). It advances the same op
 // counters and random streams as Update and is bit-identical to it: the
-// reference exists as the scalar twin the engine kernel is tested and
+// reference exists as the scalar twin the engine kernels are tested and
 // benchmarked against, exactly as tensor.Matrix.MatVec is the scalar twin
 // of the tiled forward kernel.
 func (a *Array) UpdateReference(scale float64, u, v tensor.Vector) {
 	a.update(scale, u, v, true)
 }
 
+// update claims the periphery as a read, so an update that issues no pulse
+// (scale 0, an all-zero u or v, rounding to zero pulses, stuck devices
+// only) keeps the read memo; one that pulsed, or ran under a fault hook,
+// drops it.
 func (a *Array) update(scale float64, u, v tensor.Vector, reference bool) {
-	a.acquire()
+	a.acquireRead()
 	defer a.release()
 	if len(u) != a.rows || len(v) != a.cols {
 		panic(fmt.Sprintf("crossbar: Update shape mismatch %dx%d vs %dx%d", a.rows, a.cols, len(u), len(v)))
@@ -434,13 +491,22 @@ func (a *Array) update(scale float64, u, v tensor.Vector, reference bool) {
 	}
 	a.Counts.Updates++
 	a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
+	pulses := a.Counts.Pulses
+	kernel := a.linearKernel() && a.hook == nil && !reference
 	switch a.cfg.Update {
 	case UpdateStochastic:
-		a.updateStochastic(scale, u, v, reference)
+		a.updateStochastic(scale, u, v, kernel)
 	case UpdateExpected:
-		a.updateExpected(scale, u, v)
+		if kernel {
+			a.updateExpectedLinear(scale, u, v)
+		} else {
+			a.updateExpected(scale, u, v)
+		}
 	default:
 		panic("crossbar: unknown update mode")
+	}
+	if a.hook != nil || a.Counts.Pulses != pulses {
+		a.memo.drop()
 	}
 }
 
@@ -474,21 +540,18 @@ func (a *Array) tileRNG(t int) *rngutil.Source {
 // must hold, and hooks keep private random streams that are not
 // tile-keyed — which by the determinism contract produces the identical
 // result. Per-tile pulse counts are reduced into Counts.Pulses in fixed
-// tile order.
+// tile order. The pool runs the arena's runTile, built once, so a pass
+// allocates nothing beyond fn itself.
 func (a *Array) runUpdateTiles(fn func(t, lo, hi int) int64) {
-	tiles := par.Tiles(a.rows)
 	a.ensureArena()
-	pulses := a.arena.pulses
-	rows := a.rows
+	a.arena.tileFn = fn
 	run := par.Run
 	if a.hook != nil {
 		run = par.RunSeq
 	}
-	run(tiles, func(t int) {
-		lo, hi := par.Bounds(t, rows)
-		pulses[t] = fn(t, lo, hi)
-	})
-	for _, n := range pulses {
+	run(par.Tiles(a.rows), a.arena.runTile)
+	a.arena.tileFn = nil
+	for _, n := range a.arena.pulses {
 		a.Counts.Pulses += n
 	}
 }
@@ -501,11 +564,11 @@ func (a *Array) runUpdateTiles(fn func(t, lo, hi int) int64) {
 //
 // The pulse trains draw from the array's serial stream (O(rows+cols) work)
 // into the reusable arena, then the O(rows·cols) coincidence/pulse pass runs
-// as row tiles on the worker pool. Arrays of noiseless linear-step devices
-// take the noiseless-linear kernel (updateStochasticLinear) unless a fault
-// hook or UpdateReference forces the generic per-crosspoint path; the two
-// are bit-identical.
-func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bool) {
+// as row tiles on the worker pool. With kernel set (arrays of noiseless
+// linear-step devices, unless a fault hook or UpdateReference forces the
+// generic per-crosspoint path) the pass is the noiseless-linear kernel
+// updateStochasticLinear; the two are bit-identical.
+func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, kernel bool) {
 	dw := a.model.MeanStep()
 	c := math.Sqrt(math.Abs(scale) / (float64(BL) * dw))
 	a.ensureArena()
@@ -518,7 +581,7 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector, reference bo
 		colTrains[j] = a.train(math.Abs(vj) * c)
 	}
 	sgnScale := math.Signbit(scale)
-	if a.linearKernel() && a.hook == nil && !reference {
+	if kernel {
 		a.updateStochasticLinear(sgnScale, u, v)
 		return
 	}
@@ -724,6 +787,160 @@ func (a *Array) updateExpected(scale float64, u, v tensor.Vector) {
 	})
 }
 
+// updateExpectedLinear is updateExpected for arrays of noiseless
+// linear-step devices. Per driven row it first draws every device's
+// stochastic rounding, in ascending column order from the tile's stream,
+// into the tile's pulse plan (one pulseRun per device that pulses), then
+// applies the plan with applyRuns. A noiseless pulse draws nothing, so
+// drawing a row's roundings ahead of its pulses leaves the stream order of
+// the generic path unchanged, and pulses on different devices commute.
+// Weights, Counts and streams are bit-identical to updateExpected.
+func (a *Array) updateExpectedLinear(scale float64, u, v tensor.Vector) {
+	a.ensureArena()
+	a.arena.scale, a.arena.u, a.arena.v = scale, u, v
+	a.runUpdateTiles(a.arena.expectedLinearTile)
+	a.arena.u, a.arena.v = nil, nil
+}
+
+// expectedLinearTile is updateExpectedLinear's pass over the rows [lo, hi)
+// of tile t.
+func (a *Array) expectedLinearTile(t, lo, hi int) int64 {
+	scale, u, v := a.arena.scale, a.arena.u, a.arena.v
+	dw := a.model.MeanStep()
+	cols := a.cols
+	p := &a.cells.lin
+	up, down := 1+p.Asymmetry, 1-p.Asymmetry
+	var pulses int64
+	var rng *rngutil.Source
+	plan := a.arena.runs[t*cols : (t+1)*cols : (t+1)*cols]
+	for i := lo; i < hi; i++ {
+		ui := u[i]
+		if ui == 0 {
+			continue
+		}
+		if rng == nil {
+			rng = a.tileRNG(t)
+		}
+		base := i * cols
+		su := scale * ui
+		runs := plan[:0]
+		for j, vj := range v {
+			if vj == 0 {
+				continue
+			}
+			target := su * vj
+			n := math.Abs(target) / dw
+			k := int(n)
+			if rng.Float64() < n-float64(k) {
+				k++
+			}
+			if k == 0 || a.stuck[base+j] {
+				continue
+			}
+			pulses += int64(k)
+			if k < 0 {
+				// int(n) overflowed (a NaN or an n ≥ 2⁶³): the generic
+				// path counts k and pulses nothing.
+				continue
+			}
+			// The step of cells.pulseLinear; a depression subtracts it,
+			// which is adding its exact negation.
+			step := p.DwMin * a.cells.scale[base+j]
+			if target > 0 {
+				step *= up
+			} else {
+				step = -(step * down)
+			}
+			runs = append(runs, pulseRun{idx: base + j, k: k, step: step})
+		}
+		applyRuns(a.cells.w, runs, p.WMin, p.WMax)
+	}
+	return pulses
+}
+
+// pulseRun is one device's share of an expected-mode update: k pulses of a
+// signed step on weight-plane entry idx.
+type pulseRun struct {
+	idx, k int
+	step   float64
+}
+
+// applyRuns gives every run's device its k pulses, each the add-then-clip
+// of cells.pulseLinear. A device's pulses form one dependent chain, but
+// the chains of different devices are independent, so four run at once:
+// each lane holds one device's weight, the lanes advance together by the
+// fewest pulses any of them has left, and a lane that finishes stores its
+// weight and takes the next run. A lane with no run left idles on a zero
+// step and an unreachable count.
+//
+// The lanes add without clipping. Adding one step over and over is
+// monotone (rounding is), so a chain that starts and ends inside the
+// bounds stayed inside throughout: no clip would have fired, and the sums
+// are the clipped chain's bits. A chain that leaves the bounds (or meets
+// a NaN) is redone from its start by clipChain.
+func applyRuns(w []float64, runs []pulseRun, wMin, wMax float64) {
+	const idle = math.MaxInt
+	var (
+		lw, ls [4]float64
+		lk, li [4]int
+	)
+	next, busy := 0, 0
+	load := func(l int) {
+		if next == len(runs) {
+			lw[l], ls[l], lk[l] = 0, 0, idle
+			return
+		}
+		r := runs[next]
+		next++
+		busy++
+		lw[l], ls[l], lk[l], li[l] = w[r.idx], r.step, r.k, r.idx
+	}
+	for l := range lk {
+		load(l)
+	}
+	for busy > 0 {
+		m := min(lk[0], lk[1], lk[2], lk[3])
+		w0, w1, w2, w3 := lw[0], lw[1], lw[2], lw[3]
+		s0, s1, s2, s3 := ls[0], ls[1], ls[2], ls[3]
+		for c := 0; c < m; c++ {
+			w0 += s0
+			w1 += s1
+			w2 += s2
+			w3 += s3
+		}
+		end := [4]float64{w0, w1, w2, w3}
+		for l := range lk {
+			if lk[l] == idle {
+				continue
+			}
+			if start := lw[l]; start >= wMin && start <= wMax && end[l] >= wMin && end[l] <= wMax {
+				lw[l] = end[l]
+			} else {
+				lw[l] = clipChain(start, ls[l], m, wMin, wMax)
+			}
+			if lk[l] -= m; lk[l] == 0 {
+				w[li[l]] = lw[l]
+				busy--
+				load(l)
+			}
+		}
+	}
+}
+
+// clipChain adds step to w k times, clipping to [wMin, wMax] after each
+// add as cells.pulseLinear does.
+func clipChain(w, step float64, k int, wMin, wMax float64) float64 {
+	for c := 0; c < k; c++ {
+		w += step
+		if w < wMin {
+			w = wMin
+		} else if w > wMax {
+			w = wMax
+		}
+	}
+	return w
+}
+
 // pulseFrom applies k pulses to device idx = row·cols + col (skipping stuck
 // devices, routing through the fault hook's write path), drawing cycle
 // noise from rng. Callers pass the (row, col) they already hold, so a
@@ -794,7 +1011,7 @@ func (a *Array) AlternatePulseAll(iters int) {
 // conductance path is frozen, which also preserves the corrupt value of
 // StuckValueStd devices.
 func (a *Array) AdvanceTime(dt float64) {
-	a.memo.valid = false
+	a.memo.drop()
 	a.cells.drift(dt, a.stuck)
 }
 

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,48 +11,63 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestReferenceUpdateBitIdentical is the noiseless-linear update kernel's
+// TestReferenceUpdateBitIdentical is the noiseless-linear update kernels'
 // correctness gate: for every linear-step variant the engine accelerates,
-// the full mixed-op script must produce bit-identical outputs and exported
-// state (devices and mirror) under the fast path and under
-// UpdateReference — the scalar twin the benchmark speedup budget is
-// measured against.
+// in both update modes and at one and four workers, the full mixed-op
+// script must produce bit-identical outputs and exported state (devices,
+// mirror and Counts) under the kernel and under UpdateReference — the
+// scalar twin the benchmark speedup budget is measured against.
 func TestReferenceUpdateBitIdentical(t *testing.T) {
 	defer par.SetWorkers(0)
 	stuck := DefaultConfig()
 	stuck.StuckFraction = 0.08
 	stuck.StuckValueStd = 0.3
+	expected := DefaultConfig()
+	expected.Update = UpdateExpected
+	stuckExpected := stuck
+	stuckExpected.Update = UpdateExpected
+	deviceVar := &LinearStepModel{P: LinearStepParams{
+		DwMin: 0.002, DeviceVar: 0.3, WMin: -1, WMax: 1,
+	}}
+	asymmetric := &LinearStepModel{P: LinearStepParams{
+		DwMin: 0.002, Asymmetry: 0.05, WMin: -0.8, WMax: 0.9,
+	}}
+	varAsym := &LinearStepModel{P: LinearStepParams{
+		DwMin: 0.0025, Asymmetry: -0.04, DeviceVar: 0.25, WMin: -1, WMax: 1,
+	}}
 	models := []struct {
 		name  string
 		model *LinearStepModel
 		cfg   Config
 	}{
 		{"ideal", Ideal(), DefaultConfig()},
-		{"device-var", &LinearStepModel{P: LinearStepParams{
-			DwMin: 0.002, DeviceVar: 0.3, WMin: -1, WMax: 1,
-		}}, DefaultConfig()},
-		{"asymmetric", &LinearStepModel{P: LinearStepParams{
-			DwMin: 0.002, Asymmetry: 0.05, WMin: -0.8, WMax: 0.9,
-		}}, DefaultConfig()},
-		{"var-asym-stuck", &LinearStepModel{P: LinearStepParams{
-			DwMin: 0.0025, Asymmetry: -0.04, DeviceVar: 0.25, WMin: -1, WMax: 1,
-		}}, stuck},
+		{"device-var", deviceVar, DefaultConfig()},
+		{"asymmetric", asymmetric, DefaultConfig()},
+		{"var-asym-stuck", varAsym, stuck},
+		{"expected/ideal", Ideal(), expected},
+		{"expected/device-var", deviceVar, expected},
+		{"expected/asymmetric", asymmetric, expected},
+		{"expected/var-asym-stuck", varAsym, stuckExpected},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
-			par.SetWorkers(4)
-			wantOuts, wantState := runOpScriptWith(tc.model, tc.cfg, (*Array).UpdateReference)
-			gotOuts, gotState := runOpScript(tc.model, tc.cfg)
-			for o := range wantOuts {
-				for i := range wantOuts[o] {
-					if math.Float64bits(gotOuts[o][i]) != math.Float64bits(wantOuts[o][i]) {
-						t.Fatalf("output %d element %d = %x, want %x (reference path)",
-							o, i, math.Float64bits(gotOuts[o][i]), math.Float64bits(wantOuts[o][i]))
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					par.SetWorkers(workers)
+					wantOuts, wantState := runOpScriptWith(tc.model, tc.cfg, (*Array).UpdateReference)
+					gotOuts, gotState := runOpScript(tc.model, tc.cfg)
+					for o := range wantOuts {
+						for i := range wantOuts[o] {
+							if math.Float64bits(gotOuts[o][i]) != math.Float64bits(wantOuts[o][i]) {
+								t.Fatalf("output %d element %d = %x, want %x (reference path)",
+									o, i, math.Float64bits(gotOuts[o][i]), math.Float64bits(wantOuts[o][i]))
+							}
+						}
 					}
-				}
-			}
-			if !reflect.DeepEqual(gotState, wantState) {
-				t.Fatal("engine state diverged from reference update path")
+					if !reflect.DeepEqual(gotState, wantState) {
+						t.Fatal("engine state diverged from reference update path")
+					}
+				})
 			}
 		})
 	}
@@ -59,20 +75,49 @@ func TestReferenceUpdateBitIdentical(t *testing.T) {
 
 // TestUpdateReferenceTakesGenericPath guards the oracle itself: the
 // bit-identity test above is only meaningful if UpdateReference really
-// bypasses the noiseless-linear kernel. Only the generic path draws from
-// the per-tile streams, so only it creates and reseeds them.
+// bypasses the noiseless-linear kernels. In stochastic mode only the
+// generic path draws from the per-tile streams, so only it creates and
+// reseeds them. In expected mode both paths draw, but only the kernel
+// writes the pulse plan in the arena.
 func TestUpdateReferenceTakesGenericPath(t *testing.T) {
 	data := rngutil.New(6)
 	u, v := scriptVec(64, 4, data), scriptVec(64, 3, data)
-	a := NewArray(64, 64, Ideal(), DefaultConfig(), rngutil.New(5))
-	a.Update(0.05, u, v)
-	if a.arena.tileSrc[0] != nil {
-		t.Fatal("Update reseeded the tile streams: it ran the generic path")
-	}
-	a.UpdateReference(0.05, u, v)
-	if a.arena.tileSrc[0] == nil {
-		t.Fatal("UpdateReference did not reseed the tile streams: it ran the linear kernel")
-	}
+	t.Run("stochastic", func(t *testing.T) {
+		a := NewArray(64, 64, Ideal(), DefaultConfig(), rngutil.New(5))
+		a.Update(0.05, u, v)
+		if a.arena.tileSrc[0] != nil {
+			t.Fatal("Update reseeded the tile streams: it ran the generic path")
+		}
+		a.UpdateReference(0.05, u, v)
+		if a.arena.tileSrc[0] == nil {
+			t.Fatal("UpdateReference did not reseed the tile streams: it ran the linear kernel")
+		}
+	})
+	t.Run("expected", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Update = UpdateExpected
+		a := NewArray(64, 64, Ideal(), cfg, rngutil.New(5))
+		planned := func() bool {
+			for _, r := range a.arena.runs {
+				if r != (pulseRun{}) {
+					return true
+				}
+			}
+			return false
+		}
+		before := a.Counts.Pulses
+		a.UpdateReference(0.05, u, v)
+		if a.Counts.Pulses == before {
+			t.Fatal("the update issued no pulse: the check would pass vacuously")
+		}
+		if planned() {
+			t.Fatal("UpdateReference wrote the pulse plan: it ran the expected-mode kernel")
+		}
+		a.Update(0.05, u, v)
+		if !planned() {
+			t.Fatal("Update left the pulse plan empty: it ran the generic path")
+		}
+	})
 }
 
 // TestOneHotUpdateSeedsOnlyDrivenTile pins lazy seeding: an expected-mode
@@ -109,6 +154,9 @@ func TestUpdateAllocBudget(t *testing.T) {
 	par.SetWorkers(4)
 	a := NewArray(256, 256, Ideal(), DefaultConfig(), rngutil.New(21))
 	b := NewArray(256, 256, Ideal(), DefaultConfig(), rngutil.New(21))
+	expected := DefaultConfig()
+	expected.Update = UpdateExpected
+	e := NewArray(256, 256, Ideal(), expected, rngutil.New(21))
 	data := rngutil.New(2)
 	x := scriptVec(256, 5, data)
 	u := scriptVec(256, 4, data)
@@ -119,8 +167,10 @@ func TestUpdateAllocBudget(t *testing.T) {
 	}{
 		"update-engine":    {2, func() { a.Update(0.02, u, v) }},
 		"update-reference": {2, func() { b.UpdateReference(0.02, u, v) }},
-		"forward":          {2, func() { a.Forward(x) }},
-		"backward":         {2, func() { a.Backward(u) }},
+		// The expected-mode kernel plans into the arena: nothing per op.
+		"update-expected-linear": {0, func() { e.Update(0.02, u, v) }},
+		"forward":                {2, func() { a.Forward(x) }},
+		"backward":               {2, func() { a.Backward(u) }},
 	} {
 		tc.fn() // warm the arena and tile RNG streams
 		if got := testing.AllocsPerRun(30, tc.fn); got > tc.budget {
@@ -232,5 +282,37 @@ func TestCheckpointMidFastPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.ExportState(), b.ExportState()) {
 		t.Fatal("restored array state diverged after continued updates")
+	}
+}
+
+// BenchmarkUpdateExpected times one X-MANN soft write — a one-hot u on a
+// 128×512 expected-mode ideal array, a few hundred pulses per device of
+// the driven row — on the expected-mode kernel and on UpdateReference.
+// The write alternates its sign, so the weights stay inside the bounds.
+func BenchmarkUpdateExpected(b *testing.B) {
+	const rows, cols, hot = 128, 512, 37
+	cfg := DefaultConfig()
+	cfg.Update = UpdateExpected
+	u := make(tensor.Vector, rows)
+	u[hot] = 1
+	rng := rngutil.New(4)
+	v := make(tensor.Vector, cols)
+	for j := range v {
+		v[j] = rng.Uniform(-0.5, 0.5)
+	}
+	for _, bc := range []struct {
+		name   string
+		update func(a *Array, scale float64, u, v tensor.Vector)
+	}{
+		{"kernel", (*Array).Update},
+		{"reference", (*Array).UpdateReference},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := NewArray(rows, cols, Ideal(), cfg, rngutil.New(3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.update(a, float64(1-2*(i&1)), u, v)
+			}
+		})
 	}
 }

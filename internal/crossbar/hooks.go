@@ -67,7 +67,7 @@ type FaultHook interface {
 // read stored on either side of it can answer a later one.
 func (a *Array) SetFaultHook(h FaultHook) {
 	a.hook = h
-	a.memo.valid = false
+	a.memo.drop()
 }
 
 // FaultHook returns the installed hook (nil if none).
@@ -99,7 +99,7 @@ func (a *Array) FreezeAt(i, j int, w float64) {
 // markStuck drops the read memo too: these run outside the periphery
 // guard, and FreezeAt changes the weight a read sees.
 func (a *Array) markStuck(idx int) {
-	a.memo.valid = false
+	a.memo.drop()
 	if !a.stuck[idx] {
 		a.stuck[idx] = true
 		a.stuckCount++

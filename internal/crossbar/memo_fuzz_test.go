@@ -16,14 +16,19 @@ import (
 // Counts.Forwards grown by exactly one: whatever ran between two reads, the
 // read memo must never answer with a stale output. The script draws on
 // every entry point that can change a weight, a faults.Engine attached and
-// detached mid-script, and a re-import of an earlier export; one of the
-// three read inputs differs from another only by a −0.
+// detached mid-script, a re-import of an earlier export, and the
+// operations that keep the memo: Backward reads, updates with an all-zero
+// u, and a rotation through all three read inputs, which the two-entry
+// memo cannot hold at once. One of the three read inputs differs from
+// another only by a −0.
 func FuzzReadMemo(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 3, 15, 0, 0, 10, 0, 0, 1, 13, 0, 0, 0, 0, 14, 0, 0})
 	f.Add([]byte{4, 0, 0, 1, 0, 2, 9, 0, 0, 1, 12, 0, 2, 0, 16, 0, 4, 0, 17, 0, 0})
 	f.Add([]byte{1, 1, 0, 0, 3, 7, 0, 1, 6, 0, 5, 2, 0, 0, 11, 5, 0, 0})
 	f.Add([]byte{3, 0, 13, 0, 0, 0, 8, 1, 0, 1, 14, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 18, 0, 19, 0, 0, 1, 20, 3, 0, 0, 2, 3, 18, 1, 0, 2})
+	f.Add([]byte{2, 0, 18, 0, 19, 1, 20, 4, 18, 0, 12, 5, 18, 0, 3, 5, 0, 0})
 	models := []func() crossbar.Model{
 		func() crossbar.Model { return crossbar.Ideal() },
 		func() crossbar.Model { return crossbar.RRAM() },
@@ -51,34 +56,37 @@ func FuzzReadMemo(f *testing.F) {
 		a.Program(target, 60)
 		xs := [3]tensor.Vector{{0.5, 0, -0.25}, {-0.75, 0.5, 1}, {0.5, math.Copysign(0, -1), -0.25}}
 		u := tensor.Vector{0.5, -1, 0.25, 0.75}
+		zeroU := make(tensor.Vector, rows)
+		hooked := false
+		read := func(op int, x tensor.Vector) {
+			before := a.Counts.Forwards
+			y := a.Forward(x)
+			if got := a.Counts.Forwards - before; got != 1 {
+				t.Fatalf("op %d: Forward counted %d reads, want 1", op, got)
+			}
+			if hooked {
+				return
+			}
+			want := a.Weights().MatVec(x)
+			for r := range y {
+				if math.Float64bits(y[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("op %d: hook-free Forward(%v)[%d] = %v, exact MVM %v", op, x, r, y[r], want[r])
+				}
+			}
+		}
 		engine := faults.NewEngine(faults.Plan{
 			StuckPerOp: 0.3, StuckValueStd: 0.2, ReadUpset: 0.5, UpsetMag: 0.5,
 			WriteFail: 0.2, DriftBurstEvery: 3, DriftBurstDt: 50,
 		}, rngutil.New(9))
 		saved := a.ExportState()
-		hooked := false
 		script := data[2:]
 		for op := 0; len(script) >= 2 && op < maxOps; op++ {
-			kind, arg := script[0]%18, int(script[1])
+			kind, arg := script[0]%21, int(script[1])
 			script = script[2:]
 			i, j := arg%rows, (arg/rows)%cols
 			switch kind {
 			case 0, 1:
-				x := xs[arg%len(xs)]
-				before := a.Counts.Forwards
-				y := a.Forward(x)
-				if got := a.Counts.Forwards - before; got != 1 {
-					t.Fatalf("op %d: Forward counted %d reads, want 1", op, got)
-				}
-				if hooked {
-					continue
-				}
-				want := a.Weights().MatVec(x)
-				for r := range y {
-					if math.Float64bits(y[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("op %d: hook-free Forward(%v)[%d] = %v, exact MVM %v", op, x, r, y[r], want[r])
-					}
-				}
+				read(op, xs[arg%len(xs)])
 			case 2:
 				a.Update(0.05*float64(arg%7-3), u, xs[arg%len(xs)])
 			case 3:
@@ -115,6 +123,14 @@ func FuzzReadMemo(f *testing.F) {
 				if err := a.ImportState(saved); err != nil {
 					t.Fatalf("op %d: re-import of an earlier export: %v", op, err)
 				}
+			case 18:
+				for r := range xs {
+					read(op, xs[(arg+r)%len(xs)])
+				}
+			case 19:
+				a.Backward(u)
+			case 20:
+				a.Update(0.05*float64(arg%7-3), zeroU, xs[arg%len(xs)])
 			}
 		}
 	})

@@ -55,15 +55,20 @@ func (upsetHook) FilterOutput(_ *Array, _ OpKind, y tensor.Vector) {
 	}
 }
 
+// memoHeld reports whether the array holds any stored read.
+func memoHeld(a *Array) bool { return a.memo.e[0].valid || a.memo.e[1].valid }
+
 // TestReadMemoMutationMatrix runs, for every device model and every entry
-// point that can change a weight, Forward(x) → mutation → Forward(x): the
-// mutation must drop the read memo, and the second read must equal the
-// exact MVM of the weights after it, bit for bit. Every case must also
+// point, Forward(x) → operation → Forward(x). An operation that can change
+// a weight must drop the read memo; a read, or an update that issues no
+// pulse, must keep it. Either way the second read must equal the exact MVM
+// of the weights after the operation, bit for bit. Every case must also
 // hold its memo after the first read, so none passes vacuously.
 func TestReadMemoMutationMatrix(t *testing.T) {
 	type mutation struct {
 		name string
 		mode UpdateMode
+		prep func(a *Array) // runs before the first read
 		run  func(a *Array, u, v tensor.Vector)
 	}
 	target := func(a *Array, seed uint64) *tensor.Matrix {
@@ -75,54 +80,91 @@ func TestReadMemoMutationMatrix(t *testing.T) {
 		}
 		return m
 	}
-	mutations := []mutation{
-		{"Update/stochastic", UpdateStochastic, func(a *Array, u, v tensor.Vector) { a.Update(0.3, u, v) }},
-		{"Update/expected", UpdateExpected, func(a *Array, u, v tensor.Vector) { a.Update(0.3, u, v) }},
-		{"UpdateReference", UpdateStochastic, func(a *Array, u, v tensor.Vector) { a.UpdateReference(0.3, u, v) }},
-		{"UpdateDeviceExact", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.UpdateDeviceExact(1, 2, 5, true) }},
-		{"PulseAll", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.PulseAll(3, false) }},
-		{"AlternatePulseAll", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.AlternatePulseAll(2) }},
-		{"ResetAll", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.ResetAll() }},
-		{"Program", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.Program(target(a, 7), 100) }},
-		{"ProgramDevice", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.ProgramDevice(2, 3, 0, 100) }},
-		{"ProgramVerify", UpdateStochastic, func(a *Array, _, _ tensor.Vector) {
+	// The stuck-row updates drive row 1 alone, whose devices prep froze; a
+	// twin whose row 1 yields must pulse under the same update, so the
+	// update does drive devices.
+	const hot = 1
+	freezeHot := func(a *Array) {
+		for j := 0; j < a.Cols(); j++ {
+			a.Freeze(hot, j)
+		}
+	}
+	stuckRowUpdate := func(mode UpdateMode) func(a *Array, u, v tensor.Vector) {
+		return func(a *Array, _, v tensor.Vector) {
+			oneHot := make(tensor.Vector, a.Rows())
+			oneHot[hot] = 1
+			twin := memoTestArray(a.Model(), mode)
+			before := twin.Counts.Pulses
+			twin.Update(0.3, oneHot, v)
+			if twin.Counts.Pulses == before {
+				panic("the stuck-row update pulses no device of a yielding twin")
+			}
+			a.Update(0.3, oneHot, v)
+		}
+	}
+	zeroU := func(a *Array, _, v tensor.Vector) { a.Update(0.3, make(tensor.Vector, a.Rows()), v) }
+	drop := []mutation{
+		{"Update/stochastic", UpdateStochastic, nil, func(a *Array, u, v tensor.Vector) { a.Update(0.3, u, v) }},
+		{"Update/expected", UpdateExpected, nil, func(a *Array, u, v tensor.Vector) { a.Update(0.3, u, v) }},
+		{"UpdateReference", UpdateStochastic, nil, func(a *Array, u, v tensor.Vector) { a.UpdateReference(0.3, u, v) }},
+		{"UpdateReference/expected", UpdateExpected, nil, func(a *Array, u, v tensor.Vector) { a.UpdateReference(0.3, u, v) }},
+		{"UpdateDeviceExact", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.UpdateDeviceExact(1, 2, 5, true) }},
+		{"PulseAll", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.PulseAll(3, false) }},
+		{"AlternatePulseAll", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.AlternatePulseAll(2) }},
+		{"ResetAll", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.ResetAll() }},
+		{"Program", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.Program(target(a, 7), 100) }},
+		{"ProgramDevice", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.ProgramDevice(2, 3, 0, 100) }},
+		{"ProgramVerify", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) {
 			a.ProgramVerify(target(a, 9), ProgramPolicy{MaxPulses: 50, MaxRetries: 1})
 		}},
-		{"AdvanceTime", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.AdvanceTime(1e4) }},
-		{"Freeze", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.Freeze(0, 1) }},
-		{"FreezeAt", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.FreezeAt(0, 1, 0.123) }},
-		{"ImportState", UpdateStochastic, func(a *Array, u, v tensor.Vector) {
+		{"AdvanceTime", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.AdvanceTime(1e4) }},
+		{"Freeze", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.Freeze(0, 1) }},
+		{"FreezeAt", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.FreezeAt(0, 1, 0.123) }},
+		{"ImportState", UpdateStochastic, nil, func(a *Array, u, v tensor.Vector) {
 			twin := memoTestArray(a.Model(), UpdateStochastic)
 			twin.Update(0.5, u, v)
 			if err := a.ImportState(twin.ExportState()); err != nil {
 				panic(err)
 			}
 		}},
-		{"ExportState", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.ExportState() }},
-		{"Backward", UpdateStochastic, func(a *Array, u, _ tensor.Vector) { a.Backward(u) }},
-		{"SkipBackward", UpdateStochastic, func(a *Array, u, _ tensor.Vector) { a.SkipBackward(u) }},
-		{"SetFaultHook/attach", UpdateStochastic, func(a *Array, _, _ tensor.Vector) { a.SetFaultHook(NopHook{}) }},
-		{"SetFaultHook/attach-detach", UpdateStochastic, func(a *Array, _, _ tensor.Vector) {
+		{"ExportState", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.ExportState() }},
+		{"SetFaultHook/attach", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) { a.SetFaultHook(NopHook{}) }},
+		{"SetFaultHook/attach-detach", UpdateStochastic, nil, func(a *Array, _, _ tensor.Vector) {
 			a.SetFaultHook(NopHook{})
 			a.SetFaultHook(nil)
 		}},
 	}
+	keep := []mutation{
+		{"Backward", UpdateStochastic, nil, func(a *Array, u, _ tensor.Vector) { a.Backward(u) }},
+		{"SkipBackward", UpdateStochastic, nil, func(a *Array, u, _ tensor.Vector) { a.SkipBackward(u) }},
+		{"Update/zero-u/stochastic", UpdateStochastic, nil, zeroU},
+		{"Update/zero-u/expected", UpdateExpected, nil, zeroU},
+		{"Update/stuck-row/stochastic", UpdateStochastic, freezeHot, stuckRowUpdate(UpdateStochastic)},
+		{"Update/stuck-row/expected", UpdateExpected, freezeHot, stuckRowUpdate(UpdateExpected)},
+	}
+	check := func(t *testing.T, m Model, mu mutation, wantKept bool) {
+		a := memoTestArray(m, mu.mode)
+		if mu.prep != nil {
+			mu.prep(a)
+		}
+		u := memoTestVector(a.Rows(), 3)
+		x := memoTestVector(a.Cols(), 5)
+		a.Forward(x)
+		if !memoHeld(a) {
+			t.Fatal("a hook-free read left no memo")
+		}
+		mu.run(a, u, x)
+		if kept := memoHeld(a); kept != wantKept {
+			t.Fatalf("%s: read memo kept %v, want %v", mu.name, kept, wantKept)
+		}
+		requireBits(t, "read after "+mu.name, a.Forward(x), a.Weights().MatVec(x))
+	}
 	for _, m := range allModels() {
-		for _, mu := range mutations {
-			t.Run(m.Name()+"/"+mu.name, func(t *testing.T) {
-				a := memoTestArray(m, mu.mode)
-				u := memoTestVector(a.Rows(), 3)
-				x := memoTestVector(a.Cols(), 5)
-				a.Forward(x)
-				if !a.memo.valid {
-					t.Fatal("a hook-free read left no memo")
-				}
-				mu.run(a, u, x)
-				if a.memo.valid {
-					t.Fatalf("%s kept the read memo", mu.name)
-				}
-				requireBits(t, "read after "+mu.name, a.Forward(x), a.Weights().MatVec(x))
-			})
+		for _, mu := range drop {
+			t.Run(m.Name()+"/"+mu.name, func(t *testing.T) { check(t, m, mu, false) })
+		}
+		for _, mu := range keep {
+			t.Run(m.Name()+"/"+mu.name, func(t *testing.T) { check(t, m, mu, true) })
 		}
 	}
 }
@@ -148,9 +190,7 @@ func TestReadMemoHit(t *testing.T) {
 		a.Counts.DigitalMACs != before.DigitalMACs+int64(a.rows*a.cols) {
 		t.Fatalf("a memo hit counted %+v after %+v, want one read", a.Counts, before)
 	}
-	if &y2[0] == &y1[0] || &y2[0] == &a.memo.y[0] {
-		t.Fatal("the hit returned a vector aliasing an earlier result or the memo")
-	}
+	requireOwnVector(t, a, y2, y1)
 
 	// The caller owns every vector it passed or got back.
 	want := y1.Clone()
@@ -164,9 +204,44 @@ func TestReadMemoHit(t *testing.T) {
 	negZero[2] = math.Copysign(0, -1)
 	a.cells.w[3*a.cols] -= 0.25
 	requireBits(t, "read of the −0 variant", a.Forward(negZero), a.Weights().MatVec(negZero))
-	if !math.Signbit(a.memo.x[2]) {
+	if !math.Signbit(a.memo.e[a.memo.last].x[2]) {
 		t.Fatal("the −0 read hit the +0 memo")
 	}
+}
+
+// requireOwnVector fails when y aliases prev or either memo entry's output.
+func requireOwnVector(t *testing.T, a *Array, y, prev tensor.Vector) {
+	t.Helper()
+	if &y[0] == &prev[0] {
+		t.Fatal("a hit returned the vector of an earlier result")
+	}
+	for k, e := range a.memo.e {
+		if len(e.y) > 0 && &y[0] == &e.y[0] {
+			t.Fatalf("a hit returned memo entry %d's vector", k)
+		}
+	}
+}
+
+// TestReadMemoTwoEntries: two inputs read in alternation are both answered
+// from the memo, and a third input evicts the entry used least recently.
+func TestReadMemoTwoEntries(t *testing.T) {
+	a := memoTestArray(Ideal(), UpdateExpected)
+	x1, x2, x3 := memoTestVector(a.Cols(), 5), memoTestVector(a.Cols(), 6), memoTestVector(a.Cols(), 7)
+	y1, y2 := a.Forward(x1), a.Forward(x2)
+	// Only a hit still sees the weights from before this edit.
+	a.cells.w[a.cols+1] += 0.25
+	for r := 0; r < 2; r++ {
+		h1 := a.Forward(x1)
+		requireBits(t, "alternating read of x1", h1, y1)
+		requireOwnVector(t, a, h1, y1)
+		h2 := a.Forward(x2)
+		requireBits(t, "alternating read of x2", h2, y2)
+		requireOwnVector(t, a, h2, y2)
+	}
+	// x2 answered last, so x3 evicts x1.
+	requireBits(t, "read of x3", a.Forward(x3), a.Weights().MatVec(x3))
+	requireBits(t, "x2 after x3", a.Forward(x2), y2)
+	requireBits(t, "x1 after it was evicted", a.Forward(x1), a.Weights().MatVec(x1))
 }
 
 // TestReadMemoHookedArray: a hooked array neither answers from nor fills
@@ -184,7 +259,7 @@ func TestReadMemoHookedArray(t *testing.T) {
 				t.Fatalf("hooked read %d: element %d = %v, want the hook's %v", r, i, got[i], exact[i]+1)
 			}
 		}
-		if a.memo.valid {
+		if memoHeld(a) {
 			t.Fatal("a hooked read filled the memo")
 		}
 	}
