@@ -56,14 +56,18 @@ portable:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # Short fuzzing legs over the byte-level decoders, the TCAM match kernel,
-# the crossbar read memo and the expected-mode update kernel: checkpoint
+# the crossbar read memo, the expected-mode update kernel and the per-law
+# program loops: checkpoint
 # payloads, the write-ahead log and the fault engine's exported state must
 # decode or be rejected with an error, never panic, and round-trip exactly;
 # the word-parallel TCAM mismatch count must equal the per-cell rule on
 # arbitrary byte rows; every hook-free read, after any script of array
 # operations, must equal the exact MVM of the current weights; and an
 # expected-mode Update on noiseless linear-step devices must leave the
-# same bits and Counts as UpdateReference.
+# same bits and Counts as UpdateReference; and write-verify programming on
+# every device model, with stuck cells, a dropping fault hook and aims out
+# of bounds, must leave the same bits, Counts and stream positions as
+# pulsing one pulse at a time through UpdateDeviceExact.
 FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 5s
 fuzz:
 	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/ckpt
@@ -72,6 +76,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzMismatches$$' ./internal/cam
 	$(FUZZ) -fuzz '^FuzzReadMemo$$' ./internal/crossbar
 	$(FUZZ) -fuzz '^FuzzUpdateExpected$$' ./internal/crossbar
+	$(FUZZ) -fuzz '^FuzzProgramDevice$$' ./internal/crossbar
 
 # The campaign/checkpoint smoke legs CI runs beyond `check`, plus the
 # per-section experiment selection of repro-all on the fast IDs (one or two

@@ -59,6 +59,12 @@ type FaultHook interface {
 	// (row, col) actually land; returning 0 drops the write entirely
 	// (write failure). Called for update, programming and maintenance
 	// pulses alike — a failing write path affects them all.
+	//
+	// FilterPulses must not change the array's devices (no Freeze,
+	// FreezeAt or pulses of its own), and must not count on reading them:
+	// write-verify programming holds the device's state in locals across
+	// the call, and writes it, with Counts.Pulses, back when the device's
+	// loop ends.
 	FilterPulses(a *Array, row, col, k int, up bool) int
 }
 

@@ -33,9 +33,9 @@ import (
 // independent child streams by name.
 //
 // The embedded *rand.Rand, built on the same generator, supplies the
-// derived draws (NormFloat64, Intn, Perm, Shuffle, rand.NewZipf); Float64
-// and BernoulliMask, the draws on the crossbar update path, call the
-// generator directly.
+// derived draws (Intn, Perm, Shuffle, rand.NewZipf); Float64,
+// NormFloat64 and BernoulliMask, the draws on the crossbar update and
+// write-verify paths, call the generator directly.
 type Source struct {
 	seed uint64
 	gen  *alfg
@@ -61,14 +61,11 @@ func (s *Source) State() State { return State{Seed: s.seed, Draws: s.gen.n} }
 
 // FromState rebuilds a Source at exactly the captured position: the stream
 // it returns produces the same values the original would have produced next.
-// Restoring is O(Draws) — the generator is replayed — but each step is a few
-// nanoseconds, so even multi-epoch training positions restore in well under
-// a second.
+// Restoring is O(Draws): the generator is replayed, in blocks of up to
+// rngTap steps that each run as one slice add (see alfg.skip).
 func FromState(st State) *Source {
 	s := New(st.Seed)
-	for s.gen.n < st.Draws {
-		s.gen.Uint64()
-	}
+	s.gen.skip(st.Draws)
 	return s
 }
 

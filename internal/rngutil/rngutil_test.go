@@ -1,6 +1,7 @@
 package rngutil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,5 +293,64 @@ func TestSubIntoAllocFree(t *testing.T) {
 		dst.Float64()
 	}); got > 0 {
 		t.Fatalf("SubInto: %.1f allocs/op, want 0", got)
+	}
+}
+
+// replaySteps is the step-by-step restore FromState replaced: n calls of
+// Uint64 on a fresh generator.
+func replaySteps(seed, n uint64) *alfg {
+	g := new(alfg)
+	g.Seed(int64(seed))
+	for g.n < n {
+		g.Uint64()
+	}
+	return g
+}
+
+// sameAlfg fails unless got and want hold the same register, indices and
+// count, and yield the same next 2,000 values.
+func sameAlfg(t *testing.T, what string, got, want *alfg) {
+	t.Helper()
+	if got.tap != want.tap || got.feed != want.feed || got.n != want.n {
+		t.Fatalf("%s: tap/feed/n = %d/%d/%d, want %d/%d/%d", what, got.tap, got.feed, got.n, want.tap, want.feed, want.n)
+	}
+	if got.vec != want.vec {
+		t.Fatalf("%s: registers differ", what)
+	}
+	g, w := *got, *want
+	for i := 0; i < 2000; i++ {
+		if a, b := g.Uint64(), w.Uint64(); a != b {
+			t.Fatalf("%s: next value %d = %d, want %d", what, i, a, b)
+		}
+	}
+}
+
+// TestFromStateMatchesReplay pins the block replay against the step-by-step
+// one at every position up to 1300, which crosses every wrap of tap (at
+// 1, 608, 1215) and of feed (at 335, 942), and far out at 2²⁰.
+func TestFromStateMatchesReplay(t *testing.T) {
+	for _, seed := range []uint64{0, 7, 1 << 40} {
+		ref := new(alfg)
+		ref.Seed(int64(seed))
+		for pos := uint64(0); pos <= 1300; pos++ {
+			sameAlfg(t, fmt.Sprintf("seed %d pos %d", seed, pos), FromState(State{Seed: seed, Draws: pos}).gen, ref)
+			ref.Uint64()
+		}
+		const far = 1 << 20
+		sameAlfg(t, fmt.Sprintf("seed %d pos %d", seed, far), FromState(State{Seed: seed, Draws: far}).gen, replaySteps(seed, far))
+	}
+}
+
+// BenchmarkFromState restores a position 2²⁰ draws in.
+func BenchmarkFromState(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		FromState(State{Seed: 1, Draws: 1 << 20})
+	}
+}
+
+// BenchmarkFromStateSteps is the same restore one Uint64 at a time.
+func BenchmarkFromStateSteps(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		replaySteps(1, 1<<20)
 	}
 }
